@@ -8,6 +8,8 @@ pays the same cold costs a user's fresh process pays.  Invoked as::
 with ``mode`` one of ``probe`` (set up, then exit), ``op`` (set up, run
 one timed operation, write the result file), ``build-serve-store`` (make
 the serve-mixed seed store) and ``serve`` (run the HTTP server).  The
+``op`` kinds are the batch workloads plus ``dist-run``, the pareto-grid
+spec through ``dist_run`` (run only in pareto-grid's traced run).  The
 child prints ``READY`` on stdout once set up; everything else goes to
 the result file named in the arguments.
 """
@@ -162,7 +164,7 @@ def op_dist(state: dict, args: dict) -> tuple[dict, dict]:
         res = api.dist_run(state["spec_path"], workers=2, out=state["out"])
     except DistributedError as exc:
         # Shard exhaustion: every unit of the campaign failed.
-        print(f"dist-pareto failed: {exc}", file=sys.stderr)
+        print(f"dist-run failed: {exc}", file=sys.stderr)
         return {"wall_s": time.perf_counter() - t0, "attempted": len(W.grid_units()),
                 "failed": len(W.grid_units()), "error": str(exc)}, {}
     wall = time.perf_counter() - t0
@@ -193,8 +195,8 @@ def dist_extra(state: dict, held: dict, registry: Registry) -> dict:
     }
 
 
-SETUP = {"sweep-citeseer": setup_sweep, "pareto-grid": setup_campaign, "dist-pareto": setup_dist}
-OPS = {"sweep-citeseer": op_sweep, "pareto-grid": op_campaign, "dist-pareto": op_dist}
+SETUP = {"sweep-citeseer": setup_sweep, "pareto-grid": setup_campaign, "dist-run": setup_dist}
+OPS = {"sweep-citeseer": op_sweep, "pareto-grid": op_campaign, "dist-run": op_dist}
 
 
 def run_op(args: dict) -> None:
@@ -222,7 +224,7 @@ def run_op(args: dict) -> None:
     if workload == "sweep-citeseer":
         result["crosscheck"] = crosscheck_sweep(state, args, held)
     if tracer is not None and not result["failed"]:
-        if workload == "dist-pareto":
+        if workload == "dist-run":
             stats = held["dist"].report.stats
             cache = held["dist"].report.cache or {}
             extra = dist_extra(state, held, registry)
@@ -281,7 +283,8 @@ def build_serve_store(args: dict) -> None:
 
 def run_server(args: dict) -> None:
     """Serve the given store until SIGINT, then write the process's peak
-    RSS and, when traced, the per-layer summary."""
+    RSS and, when traced, the per-layer summary.  Its unattributed time
+    is the request handling outside ``serving.query``."""
     from repro import api
     from repro.serving.spec import ServeSpec
 
@@ -295,8 +298,13 @@ def run_server(args: dict) -> None:
     if tracer is not None:
         tracer.uninstall()
         stats, cache = session_counters(registry.sessions)
-        extra = {"analysis.store.bytes": appended_bytes(registry)}
-        out["layers"] = collect(tracer.summary(), stats=stats, cache=cache, extra=extra)
+        summary = tracer.summary()
+        extra = {
+            "analysis.store.bytes": appended_bytes(registry),
+            "trace.unattributed_s": registry.request_s
+            - summary.get("serving.query", {}).get("total_s", 0.0),
+        }
+        out["layers"] = collect(summary, stats=stats, cache=cache, extra=extra)
         tracer.write_chrome(args["trace_file"])
     write_json(args["out"], out)
 

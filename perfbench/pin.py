@@ -4,16 +4,14 @@ compares against, for the default seed and one held-out seed.
 Run from the repository root, only after an intended change to the cost
 model or to the benchmark's inputs::
 
-    python3 perfbench/pin.py            # seeds 0 and 1
-    python3 perfbench/pin.py --seeds 0 1 --workloads serve-mixed
+    python3 perfbench/pin.py
 
-dist-pareto needs no pin of its own: it must reproduce the pareto-grid
-report byte for byte.
+The distributed run needs no pin of its own: it must reproduce the
+pareto-grid report byte for byte.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import shutil
 import sys
@@ -24,6 +22,8 @@ sys.path.insert(0, str(HERE))
 
 import run as R  # noqa: E402
 import workloads as W  # noqa: E402
+
+SEEDS = (0, 1)  # the default seed and the held-out seed claims are checked on
 
 
 def pin_batch(workload: str, seed: int, work: Path) -> str:
@@ -71,17 +71,13 @@ def pin_serving(seed: int, work: Path) -> dict:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    ap.add_argument("--workloads", nargs="+", default=["sweep-citeseer", "pareto-grid", "serve-mixed"])
-    args = ap.parse_args()
-    pins = W.load_pins() if W.PINS_PATH.exists() else {}
+    pins = {}
     work = R.ROOT / ".perfbench" / "pin-work"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     try:
-        for workload in args.workloads:
-            for seed in args.seeds:
+        for workload in W.WORKLOADS:
+            for seed in SEEDS:
                 if workload == "serve-mixed":
                     value = pin_serving(seed, work)
                 else:

@@ -1,4 +1,4 @@
-"""Repository benchmark: four workloads, end-to-end and per-layer metrics.
+"""Repository benchmark: three workloads, end-to-end and per-layer metrics.
 
 Usage (from the repository root)::
 
@@ -12,17 +12,18 @@ Workloads (inputs are generated from ``--seed``):
   over 7 datasets x 12 hardware points into a fresh store;
 - ``serve-mixed``: a closed loop of 2 HTTP connections against a
   ``repro.api.serve`` subprocess over a seed store, Zipf-drawn keys,
-  one fifth of them absent from the store (live searches);
-- ``dist-pareto``: the pareto-grid spec through ``repro.api.dist_run``
-  with 2 shard workers.
+  one fifth of them absent from the store (live searches).
 
 Operations run in child processes (``child.py``), repeated until
-``--seconds`` have passed (at least one).  ``--trace 0`` prints the
-end-to-end metrics ``setup_s``, ``wall_s`` and ``peak_rss_mib``;
-``--trace 1`` runs one untraced and one traced operation and prints the
-per-layer metrics of ``layers.PER_LAYER``.  Every operation's output is
-checked (``workloads.check_*``); a mismatch prints ``"correct": false``
-with no metrics and exits 1.  The last stdout line is the result JSON;
+``--seconds`` have passed and at least ``MIN_OPS`` times.  ``--trace 0``
+prints the end-to-end metrics ``setup_s``, ``wall_s`` and
+``peak_rss_mib``; ``--trace 1`` runs one untraced and one traced
+operation and prints the per-layer metrics of ``layers.PER_LAYER``.
+pareto-grid's traced run also runs the same spec through
+``repro.api.dist_run`` with 2 shard workers, for the ``distributed.*``
+metrics; its report must equal the sequential one byte for byte.
+Every operation's output is checked (``workloads.check_*``); a mismatch
+prints ``"correct": false`` with no metrics and exits 1.  The last stdout line is the result JSON;
 the line before it is the run's provenance.
 """
 
@@ -51,7 +52,11 @@ import workloads as W  # noqa: E402
 from layers import PER_LAYER  # noqa: E402
 
 END_TO_END = {"setup_s": "s", "wall_s": "s", "peak_rss_mib": "MiB"}  # name -> unit
-SETUP_SAMPLES = 5  # set-ups per run; setup_s is their median
+SETUP_SAMPLES = 7  # set-ups per run; setup_s is their median
+# Operations per untraced run at least; wall_s is their median.  On a
+# 2-vCPU host one sweep takes 25-60 s and one campaign 11-24 s, so more
+# would not fit 22 runs per workload into the benchmark's time budget.
+MIN_OPS = {"sweep-citeseer": 1, "pareto-grid": 2, "serve-mixed": 3}
 CHILD_TIMEOUT = 170.0  # seconds any single child may take
 HOST = "127.0.0.1"
 
@@ -154,7 +159,7 @@ def run_child(args: dict) -> tuple[float, dict | None]:
 
 
 # ----------------------------------------------------------------------
-# Batch workloads: sweep-citeseer, pareto-grid, dist-pareto
+# Batch workloads: sweep-citeseer, pareto-grid
 # ----------------------------------------------------------------------
 
 def run_batch(ctx: dict) -> dict:
@@ -164,27 +169,30 @@ def run_batch(ctx: dict) -> dict:
     check = W.check_sweep if workload == "sweep-citeseer" else W.check_campaign
     n = 0
 
-    def op(trace: bool) -> tuple[float, dict]:
+    def op(trace: bool, kind: str = workload) -> tuple[float, dict]:
         nonlocal n
         n += 1
         workdir = ctx["work"] / f"op{n}"
         workdir.mkdir()
-        args = {"mode": "op", "workload": workload, "seed": seed, "workdir": str(workdir),
+        args = {"mode": "op", "workload": kind, "seed": seed, "workdir": str(workdir),
                 "out": str(workdir / "result.json"), "trace": trace,
-                "trace_file": str(ctx["traces"] / f"{workload}-seed{seed}.json")}
+                "trace_file": str(ctx["traces"] / f"{kind}-seed{seed}.json")}
         setup, result = run_child(args)
         shutil.rmtree(workdir)
         return setup, result
 
     setups, results = [], []
+    dist = None
     if ctx["trace"]:
         for trace in (False, True):
             setup, result = op(trace)
             setups.append(setup)
             results.append(result)
+        if workload == "pareto-grid":
+            _, dist = op(True, "dist-run")
     else:
         start = time.perf_counter()
-        while not results or time.perf_counter() - start < ctx["seconds"]:
+        while len(results) < MIN_OPS[workload] or time.perf_counter() - start < ctx["seconds"]:
             setup, result = op(False)
             setups.append(setup)
             results.append(result)
@@ -200,16 +208,24 @@ def run_batch(ctx: dict) -> dict:
     ok = [r for r in results if not r["failed"]]
     for result in ok:
         problems += check(result, pin)
+    if dist is not None:
+        if dist["failed"]:
+            problems.append("the distributed run failed")
+        else:
+            problems += check(dist, pin)
+            problems += [f"distributed report {dist['digest'][:16]} != sequential {r['digest'][:16]}"
+                         for r in ok if r["digest"] != dist["digest"]]
+    ops = results + ([dist] if dist is not None else [])
     out = {
-        "attempted": sum(r["attempted"] for r in results),
-        "failed": sum(r["failed"] for r in results),
+        "attempted": sum(r["attempted"] for r in ops),
+        "failed": sum(r["failed"] for r in ops),
         "problems": problems if ok else ["every operation failed"],
         "provenance": {
             "gate": "pinned" if pin is not None else "invariants",
             "operations": len(results),
             "setup_samples": len(setups),
             "numpy": results[0].get("numpy"),
-            "digests": sorted({r["digest"] for r in ok}),
+            "digests": sorted({r["digest"] for r in ops if not r["failed"]}),
         },
     }
     if ok and not ctx["trace"]:
@@ -218,9 +234,11 @@ def run_batch(ctx: dict) -> dict:
             "wall_s": W.median([r["wall_s"] for r in ok]),
             "peak_rss_mib": max(r["peak_rss_mib"] for r in ok),
         }
-    elif len(ok) == 2:
+    elif len(ok) == 2 and not problems:
         layers = results[1]["layers"]
         layers["trace.overhead_pct"] = (results[1]["wall_s"] / results[0]["wall_s"] - 1) * 100
+        if dist is not None:
+            layers.update({k: v for k, v in dist["layers"].items() if k.startswith("distributed.")})
         out["metrics"] = layers
     return out
 
@@ -344,7 +362,7 @@ def run_serve(ctx: dict) -> dict:
         one_pass(True)
     else:
         start = time.perf_counter()
-        while not passes or time.perf_counter() - start < ctx["seconds"]:
+        while len(passes) < MIN_OPS["serve-mixed"] or time.perf_counter() - start < ctx["seconds"]:
             one_pass(False)
         while len(setups) < SETUP_SAMPLES:
             n += 1
@@ -394,7 +412,6 @@ def run_serve(ctx: dict) -> dict:
         "serving.degraded": stats["degraded"],
         "serving.shed": stats["frontend"]["shed"],
         "serving.timeouts": stats["frontend"]["timeouts"],
-        "trace.unattributed_s": sum(traced["frontend_ms"]) / 1e3,
         "trace.overhead_pct": (traced["wall_s"] / base["wall_s"] - 1) * 100,
     })
     out["metrics"] = layers

@@ -68,9 +68,6 @@ def test_check_campaign_rejects_a_perturbed_digest_and_bad_stores():
     torn = campaign_result()
     torn["store_records"] = 3
     assert W.check_campaign(torn, None)
-    # dist-pareto is pinned to the pareto-grid report.
-    pins = {"pareto-grid": {"0": "r"}}
-    assert W.pinned(pins, "dist-pareto", 0) == "r"
 
 
 def test_check_serving_rejects_a_perturbed_pin():
@@ -114,3 +111,26 @@ def test_a_perturbed_pin_fails_the_run_without_a_time(monkeypatch):
     rc, result = run_main(monkeypatch, {"sweep-citeseer": {"0": "abc"}})
     assert rc == 0 and result["correct"] is True
     assert set(result["metrics"]) == {"setup_s", "wall_s", "peak_rss_mib"}
+
+
+def test_a_distributed_report_that_differs_fails_the_traced_run(monkeypatch):
+    def run_traced(dist_digest):
+        def fake_child(args):
+            result = campaign_result(dist_digest if args["workload"] == "dist-run" else "r")
+            layers = {name: 0 for name, *_ in R.PER_LAYER}
+            layers["distributed.merge_s"] = 0.5
+            result.update(wall_s=1.0, attempted=84, failed=0, peak_rss_mib=1.0, numpy="x",
+                          layers=layers)
+            return 0.5, result
+
+        monkeypatch.setattr(R, "run_child", fake_child)
+        monkeypatch.setattr(W, "load_pins", lambda: {})
+        out = io.StringIO()
+        with redirect_stdout(out):
+            rc = R.main(["--workload", "pareto-grid", "--seed", "7", "--trace", "1"])
+        return rc, json.loads(out.getvalue().strip().splitlines()[-1])
+
+    rc, result = run_traced("r")
+    assert rc == 0 and result["metrics"]["distributed.merge_s"]["value"] == 0.5
+    rc, result = run_traced("s")
+    assert rc == 1 and result["correct"] is False and result["metrics"] == {}

@@ -85,8 +85,7 @@ class Tracer:
         With ``name=None`` the shim records no span and only calls
         ``on_return`` (with ``frame=None``), e.g. to register instances.
         """
-        original = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
-        func = original.__func__ if isinstance(original, (staticmethod, classmethod)) else original
+        func = getattr(owner, attr)
         tracer = self
 
         if generator:
@@ -120,14 +119,12 @@ class Tracer:
                 finally:
                     tracer.end(frame)
 
-        if isinstance(original, staticmethod):
-            replacement: Any = staticmethod(shim)
-        elif isinstance(original, classmethod):
-            replacement = classmethod(shim)
-        else:
-            replacement = shim
+        self.patch(owner, attr, shim)
+
+    def patch(self, owner: Any, attr: str, replacement: Any) -> None:
+        """Set ``owner.attr`` to ``replacement`` until :meth:`uninstall`."""
+        self._patches.append((owner, attr, getattr(owner, attr)))
         setattr(owner, attr, replacement)
-        self._patches.append((owner, attr, original))
 
     def uninstall(self) -> None:
         """Restore every wrapped attribute, newest first."""

@@ -13,7 +13,7 @@ import math
 import random
 from pathlib import Path
 
-WORKLOADS = ("sweep-citeseer", "pareto-grid", "serve-mixed", "dist-pareto")
+WORKLOADS = ("sweep-citeseer", "pareto-grid", "serve-mixed")
 
 PINS_PATH = Path(__file__).resolve().with_name("pins.json")
 
@@ -23,7 +23,7 @@ SWEEP_PES = 512
 SWEEP_POINTS = 6656
 SWEEP_CROSSCHECK = 8  # sampled points re-evaluated one at a time
 
-# pareto-grid / dist-pareto: 7 Table IV datasets x 12 hardware points.
+# pareto-grid (and its distributed twin): 7 Table IV datasets x 12 hardware points.
 GRID_DATASETS = ("mutag", "proteins", "imdb-bin", "collab", "reddit-bin", "citeseer", "cora")
 GRID_PES = (512, 1024, 2048)
 GRID_BANDWIDTHS = (None, 32, 64, 128)
@@ -43,7 +43,7 @@ SERVE_CONNECTIONS = 2
 # ----------------------------------------------------------------------
 
 def campaign_spec(seed: int) -> dict:
-    """The pareto-grid campaign spec (also run by dist-pareto)."""
+    """The pareto-grid campaign spec (also run through ``dist_run``)."""
     hardware = []
     for pes in GRID_PES:
         for bw in GRID_BANDWIDTHS:
@@ -200,12 +200,8 @@ def load_pins(path: Path = PINS_PATH) -> dict:
 
 
 def pinned(pins: dict, workload: str, seed: int):
-    """The pinned reference for (workload, seed), or ``None``.
-
-    dist-pareto is pinned to the pareto-grid report: the distributed run
-    must reproduce the sequential one byte for byte."""
-    table = "pareto-grid" if workload == "dist-pareto" else workload
-    return pins.get(table, {}).get(str(seed))
+    """The pinned reference for (workload, seed), or ``None``."""
+    return pins.get(workload, {}).get(str(seed))
 
 
 def check_sweep(result: dict, pin) -> list[str]:
