@@ -10,9 +10,10 @@ Workloads (inputs are generated from ``--seed``):
   through ``DataflowEvaluator.evaluate(design_space_stream(ev))``;
 - ``pareto-grid``: one ``repro.api.run_campaign`` of the Pareto search
   over 7 datasets x 12 hardware points into a fresh store;
-- ``serve-mixed``: a closed loop of 2 HTTP connections against a
-  ``repro.api.serve`` subprocess over a seed store, Zipf-drawn keys,
-  one fifth of them absent from the store (live searches).
+- ``serve-mixed``: a closed loop of 2 HTTP connections, driven from one
+  client thread, against a ``repro.api.serve`` subprocess over a seed
+  store, Zipf-drawn keys, one fifth of them absent from the store (live
+  searches); client and server share one CPU.
 
 Operations run in child processes (``child.py``), repeated until
 ``--seconds`` have passed and at least ``MIN_OPS`` times.  ``--trace 0``
@@ -31,13 +32,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import http.client
 import json
 import os
 import platform
 import queue
+import selectors
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -52,12 +54,16 @@ import workloads as W  # noqa: E402
 from layers import PER_LAYER  # noqa: E402
 
 END_TO_END = {"setup_s": "s", "wall_s": "s", "peak_rss_mib": "MiB"}  # name -> unit
-SETUP_SAMPLES = 7  # set-ups per run; setup_s is their median
+SETUP_SAMPLES = 5  # set-ups per run; setup_s is their median
 # Operations per untraced run at least; wall_s is their median.  On a
 # 2-vCPU host one sweep takes 25-60 s and one campaign 11-24 s, so more
 # would not fit 22 runs per workload into the benchmark's time budget.
-MIN_OPS = {"sweep-citeseer": 1, "pareto-grid": 2, "serve-mixed": 3}
+# A serve-mixed pass takes about 3 s, so it gets five: a run then
+# measures over a window nearer the batch workloads', which steadies its
+# median.
+MIN_OPS = {"sweep-citeseer": 1, "pareto-grid": 2, "serve-mixed": 5}
 CHILD_TIMEOUT = 170.0  # seconds any single child may take
+QUERY_TIMEOUT = 30.0  # seconds a query may take before it counts as failed
 HOST = "127.0.0.1"
 
 
@@ -255,16 +261,6 @@ def copy_store(src: Path, dest_dir: Path) -> Path:
     return dest_dir / src.name
 
 
-def request(port: int, method: str, path: str, body: bytes | None = None) -> tuple[int, bytes]:
-    conn = http.client.HTTPConnection(HOST, port, timeout=30)
-    try:
-        conn.request(method, path, body=body, headers={"Content-Type": "application/json"})
-        resp = conn.getresponse()
-        return resp.status, resp.read()
-    finally:
-        conn.close()
-
-
 def start_server(ctx: dict, store: Path, trace: bool, tag: str) -> tuple["Child", int, float]:
     """Start a server over ``store``; set-up time runs to a 200 /healthz."""
     child = Child({"mode": "serve", "seed": ctx["seed"], "store": str(store), "trace": trace,
@@ -282,52 +278,130 @@ def start_server(ctx: dict, store: Path, trace: bool, tag: str) -> tuple["Child"
     return child, port, time.perf_counter() - child.started
 
 
-def traffic_pass(port: int, universe: dict, bodies: list[bytes], tag: int) -> dict:
-    """Send the query sequence once over a closed loop of connections."""
-    sequence = universe["sequence"]
-    keys = universe["keys"]
-    lock = threading.Lock()
-    cursor = iter(range(len(sequence)))
+def request_bytes(port: int, method: str, path: str, body: bytes = b"") -> bytes:
+    """One complete request; the server closes the connection after answering."""
+    head = (f"{method} {path} HTTP/1.1\r\nHost: {HOST}:{port}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n")
+    return head.encode("latin-1") + body
+
+
+def request(port: int, method: str, path: str, body: bytes = b"") -> tuple[int, bytes]:
+    """(status, body) of one blocking request; a refused, reset or
+    timed-out connection raises ``OSError``."""
+    with socket.create_connection((HOST, port), timeout=QUERY_TIMEOUT) as sock:
+        sock.sendall(request_bytes(port, method, path, body))
+        chunks = []
+        while chunk := sock.recv(1 << 16):
+            chunks.append(chunk)
+    return parse_response(b"".join(chunks))
+
+
+def parse_response(raw: bytes) -> tuple[int, bytes]:
+    """(status, body) of a complete response; status 0 if malformed."""
+    head, sep, body = raw.partition(b"\r\n\r\n")
+    parts = head.split(None, 2)
+    if not sep or len(parts) < 2 or not parts[1].isdigit():
+        return 0, b""
+    return int(parts[1]), body
+
+
+def closed_loop(port: int, requests: list[bytes], order: list[int]) -> tuple[float, list]:
+    """Send ``requests[k]`` for each ``k`` of ``order`` from one thread
+    over ``SERVE_CONNECTIONS`` connections, each sending its next request
+    once its previous answer has arrived (the server closes after each
+    answer).  Returns the wall time and ``(k, status, seconds, body)`` per
+    query; a refused, reset or timed-out query has status 0."""
+    sel = selectors.DefaultSelector()
+    cursor = iter(order)
     samples: list = []
 
-    def client() -> None:
-        while True:
-            with lock:
-                i = next(cursor, None)
-            if i is None:
-                return
-            k = sequence[i]
-            t0 = time.perf_counter()
-            try:
-                status, raw = request(port, "POST", "/query", bodies[k])
-            except (OSError, http.client.HTTPException):  # includes timeouts
-                status, raw = 0, b""
-            samples.append((k, status, time.perf_counter() - t0, raw))
+    def launch() -> None:
+        k = next(cursor, None)
+        if k is None:
+            return
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        state = {"k": k, "t0": time.perf_counter(), "out": memoryview(requests[k]),
+                 "in": bytearray()}
+        sock.connect_ex((HOST, port))
+        sel.register(sock, selectors.EVENT_WRITE, state)
 
-    threads = [threading.Thread(target=client) for _ in range(W.SERVE_CONNECTIONS)]
-    t0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    wall = time.perf_counter() - t0
+    def finish(sock: socket.socket, state: dict, status: int, body: bytes) -> None:
+        sel.unregister(sock)
+        sock.close()
+        samples.append((state["k"], status, time.perf_counter() - state["t0"], body))
+        launch()
+
+    start = time.perf_counter()
+    try:
+        for _ in range(W.SERVE_CONNECTIONS):
+            launch()
+        while sel.get_map():
+            for key, _ in sel.select(timeout=1.0):
+                sock, state = key.fileobj, key.data
+                try:
+                    if state["out"]:
+                        sent = sock.send(state["out"])
+                        state["out"] = state["out"][sent:]
+                        if not state["out"]:
+                            sel.modify(sock, selectors.EVENT_READ, state)
+                        continue
+                    chunk = sock.recv(1 << 16)
+                except OSError:
+                    finish(sock, state, 0, b"")
+                    continue
+                if chunk:
+                    state["in"] += chunk
+                else:
+                    finish(sock, state, *parse_response(bytes(state["in"])))
+            now = time.perf_counter()
+            for key in list(sel.get_map().values()):
+                if now - key.data["t0"] > QUERY_TIMEOUT:
+                    finish(key.fileobj, key.data, 0, b"")
+    finally:
+        for key in list(sel.get_map().values()):
+            key.fileobj.close()
+        sel.close()
+    return time.perf_counter() - start, samples
+
+
+def traffic_pass(port: int, universe: dict, bodies: list[bytes], tag: int) -> dict:
+    """Warm the server up on a few present keys, then send the query
+    sequence once, timed.  Every answer is kept for the gate."""
+    requests = [request_bytes(port, "POST", "/query", body) for body in bodies]
+    _, warm = closed_loop(port, requests, universe["warmup"])
+    wall, samples = closed_loop(port, requests, universe["sequence"])
+    keys = universe["keys"]
     answers, latencies, frontend = [], [], []
     failed = 0
-    for k, status, latency, raw in samples:
-        latencies.append(latency * 1e3)
+    for n, (k, status, latency, raw) in enumerate(warm + samples):
+        timed = n >= len(warm)
+        if timed:
+            latencies.append(latency * 1e3)
         if status != 200:
             failed += 1
             continue
         ans = json.loads(raw)
-        frontend.append(latency * 1e3 - ans["latency_ms"])
+        if timed:
+            frontend.append(latency * 1e3 - ans["latency_ms"])
         answers.append({"key": keys[k]["key"], "source": ans["source"], "exact": ans["exact"],
                         "score": ans["score"], "fingerprint": ans["fingerprint"], "pass": tag})
     status, raw = request(port, "GET", "/stats")
-    return {"wall_s": wall, "answers": answers, "latencies_ms": latencies,
-            "frontend_ms": frontend, "failed": failed, "stats": json.loads(raw)}
+    return {"wall_s": wall, "attempted": len(warm) + len(samples), "answers": answers,
+            "latencies_ms": latencies, "frontend_ms": frontend, "failed": failed,
+            "stats": json.loads(raw)}
 
 
 def run_serve(ctx: dict) -> dict:
+    # The client and every server it starts share one CPU (children
+    # inherit the affinity).  On a shared VM a closed loop spread over
+    # two CPUs waits on the hypervisor to wake an idle CPU at each round
+    # trip, which made passes 1.5-2x slower and twice as variable as on
+    # one CPU.  The price: a server that used more than one CPU would
+    # show no gain here.
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     seed = ctx["seed"]
     universe = W.serve_universe(seed)
     bodies = [json.dumps(k["body"]).encode() for k in universe["keys"]]
@@ -375,7 +449,7 @@ def run_serve(ctx: dict) -> dict:
     answers = [a for p in passes for a in p["answers"]]
     pin = W.pinned(W.load_pins(), "serve-mixed", seed)
     problems = W.check_serving(answers, universe, built["expected"], pin)
-    attempted = sum(len(p["latencies_ms"]) for p in passes)
+    attempted = sum(p["attempted"] for p in passes)
     tail = W.tail_percentile(len(passes[0]["latencies_ms"]))
     out = {
         "attempted": attempted,

@@ -135,7 +135,8 @@ def serve_universe(seed: int) -> dict:
     sequence = list(range(len(keys)))
     sequence += rng.choices(range(len(keys)), weights=weights, k=SERVE_QUERIES - len(keys))
     rng.shuffle(sequence)
-    return {"keys": keys, "sequence": sequence}
+    warmup = [len(SERVE_PRESENT_HW) * i for i in range(len(SERVE_DATASETS) + 1)]
+    return {"keys": keys, "sequence": sequence, "warmup": warmup}
 
 
 def _key(wl: dict, point: dict, *, present: bool) -> dict:
