@@ -15,10 +15,11 @@ CiteSeer-scale workload (the paper's single-graph HF dataset):
 With ``--batched`` the script instead measures the *batched candidate
 evaluation* path end to end: the paper's full 6,656-point enumeration on
 CiteSeer through the default evaluator (phase-engine result cache +
-mapping-grouped dispatch + candidate-axis vectorized PP composition)
-against the scalar reference path (``REPRO_REFERENCE_ENGINE=1`` with the
-phase cache disabled), appending a ``batched-compose`` trajectory entry
-with both wall times and the phase-cache hit rate.
+mapping-grouped dispatch + deduplicated PP composition through the
+compiled recurrence kernel) against the scalar reference path
+(``REPRO_REFERENCE_ENGINE=1`` with the phase cache disabled), appending a
+``batched-compose`` trajectory entry with both wall times, the
+phase-cache hit rate and which PP kernel ran (compiled or python).
 
 With ``--generation`` it measures the *candidate generation* layer: the
 full 6,656-point enumeration plus per-candidate fingerprinting, grid
@@ -181,15 +182,17 @@ def bench_batched_compose() -> dict:
     """Full 6,656-point CiteSeer sweep: batched evaluator vs scalar path.
 
     The batched side is the library default (phase-engine cache +
-    mapping-grouped dispatch + one PP recurrence per compose batch); the
-    scalar side re-runs both engines per candidate and loops the PP
-    recurrence per candidate (``REPRO_REFERENCE_ENGINE=1``, phase cache
-    off).  Outcome equality is spot-asserted; the exhaustive bit-equality
-    proof lives in ``tests/test_batch_compose.py``.
+    mapping-grouped dispatch + one compiled PP recurrence per distinct
+    granule series); the scalar side re-runs both engines per candidate
+    and runs the Python reference recurrence per candidate
+    (``REPRO_REFERENCE_ENGINE=1``, phase cache off).  Outcome equality is
+    spot-asserted; the exhaustive bit-equality proof lives in
+    ``tests/test_batch_compose.py``.
     """
     from repro.campaign.session import ExplorationSession
     from repro.core.enumeration import design_space_stream
     from repro.core.evaluator import DataflowEvaluator
+    from repro.core.pipeline import pipeline_kernel
     from repro.core.workload import workload_from_dataset
     from repro.engine.cycle_model import use_reference_engine
 
@@ -204,6 +207,7 @@ def bench_batched_compose() -> dict:
     wl = workload_from_dataset(load_dataset("citeseer"))
     hw = AcceleratorConfig()
 
+    kernel = pipeline_kernel()
     ev = DataflowEvaluator(wl, hw)
     t0 = time.perf_counter()
     batched = ev.evaluate(design_space_stream(ev))
@@ -232,6 +236,7 @@ def bench_batched_compose() -> dict:
             )
     return {
         "points": len(batched),
+        "pipeline_kernel": kernel,
         "scalar_compose_s": round(scalar_s, 3),
         "batched_compose_s": round(batched_s, 3),
         "speedup": round(scalar_s / batched_s, 2) if batched_s else float("inf"),
@@ -359,7 +364,8 @@ def main(argv: list[str] | None = None) -> int:
         bc = entry["batched_compose"]
         print(f"full-sweep candidate evaluation (citeseer, {bc['points']} "
               f"points): scalar {bc['scalar_compose_s']:.1f}s -> batched "
-              f"{bc['batched_compose_s']:.1f}s ({bc['speedup']:.1f}x)")
+              f"{bc['batched_compose_s']:.1f}s ({bc['speedup']:.1f}x, "
+              f"{bc['pipeline_kernel']} PP kernel)")
         print(f"phase-engine cache: {bc['phase_cache_hits']} hits / "
               f"{bc['phase_cache_misses']} misses "
               f"({100 * bc['phase_cache_hit_rate']:.0f}%)")

@@ -34,7 +34,10 @@ from ..engine.spmm import SpmmResult
 from ..engine.stats import PhaseStats, merge_counts
 from .granularity import GranuleSpec, granule_series, make_granule_spec
 from .legality import LegalityError, validate_dataflow
-from .pipeline import (
+# bounded_pipeline_batch is not called here but stays importable from
+# this module: the benchmark's per-layer trace wraps both entry points
+# by name where the composition layer imports them.
+from .pipeline import (  # noqa: F401
     PipelineReport,
     bounded_pipeline,
     bounded_pipeline_batch,
@@ -53,13 +56,6 @@ __all__ = ["RunResult", "compose", "compose_batch"]
 # One compose_batch item: (dataflow, workload, hw, agg_result, cmb_result) —
 # the exact argument tuple of one scalar compose() call.
 ComposeItem = "tuple[Dataflow, GNNWorkload, AcceleratorConfig, SpmmResult, GemmResult]"
-
-# Granule budget per recurrence sub-batch: bounds how many series are
-# materialized simultaneously (a series is one float64 per granule, twice
-# over).  A single over-budget series still runs — alone in its
-# sub-batch, exactly like the scalar path would have held it.
-_MAX_BATCH_GRANULES = 8_000_000
-
 
 @dataclass
 class RunResult:
@@ -216,18 +212,13 @@ def compose(
 def compose_batch(items: "Sequence[ComposeItem]") -> list[RunResult]:
     """Compose many candidates at once; equals ``[compose(*i) for i in items]``.
 
-    Two batch-axis optimizations make this the evaluator's hot path:
-
-    - **granule-series dedup**: candidates sharing the same phase-result
-      pair, phase order, producer mapping, and granularity (e.g. the
-      pe_split sweep of one PP mapping, or phase-cache-mates) build their
-      producer/consumer series once;
-    - **one recurrence for the whole batch**: every PP candidate's series
-      goes into a single :func:`bounded_pipeline_batch` call — the
-      depth-bounded recurrence advances all candidates per granule step
-      instead of looping Python per candidate.  Under
-      ``REPRO_REFERENCE_ENGINE=1`` the scalar per-candidate recurrence is
-      used instead; both are bit-identical (fuzz-proved).
+    Candidates sharing the same phase-result pair, phase order, producer
+    mapping, and granularity (e.g. the pe_split sweep of one PP mapping,
+    or phase-cache-mates) build their producer/consumer series and run
+    the PP recurrence once.  The recurrence is
+    :func:`~repro.core.pipeline.bounded_pipeline`: the compiled kernel,
+    or its bit-identical Python reference under
+    ``REPRO_REFERENCE_ENGINE=1`` or without a C compiler.
 
     Error semantics match the scalar loop: the first item (in item order)
     whose composition is illegal raises, composing no observable state
@@ -245,21 +236,15 @@ def _compose_batch(
     """Shared core of :func:`compose_batch`: per-item results + captured
     per-item failures (``(item_index, exception)``, in item order) so the
     evaluation service can report illegal candidates individually."""
-    from ..engine.cycle_model import use_reference_engine
-
     n = len(items)
     grans: list[Granularity | None] = [None] * n
     errors: list[tuple[int, Exception]] = []
     failed: set[int] = set()
     # PP granule specs, deduplicated: series_of maps item index -> slot.
-    # Specs are cheap (tile-size arithmetic); the series themselves are
-    # built lazily below, one bounded sub-batch at a time, because an
-    # element-granularity series can run to millions of granules and a
-    # whole batch of them must never be resident at once.
     series_key: dict[tuple, int] = {}
     series_of: dict[int, int] = {}
     pp_specs: list[GranuleSpec] = []
-    pp_args: list[tuple] = []  # (df, wl, agg_res, cmb_res) per slot
+    pp_args: list[tuple] = []  # (df, agg_res, cmb_res) per slot
     for i, (df, wl, hw, agg_res, cmb_res) in enumerate(items):
         try:
             gran = validate_dataflow(df)
@@ -276,45 +261,20 @@ def _compose_batch(
                     pp_specs.append(
                         make_granule_spec(df, wl, gran, agg_res, cmb_res)
                     )
-                    pp_args.append((df, wl, agg_res, cmb_res))
+                    pp_args.append((df, agg_res, cmb_res))
                     series_key[key] = slot
                 series_of[i] = slot
         except (LegalityError, ValueError) as exc:
             errors.append((i, exc))
             failed.add(i)
 
-    reference = use_reference_engine()
-    reports: list[PipelineReport | None] = [None] * len(pp_specs)
-    sub: list[int] = []
-    sub_elems = 0
-    for slot in range(len(pp_specs) + 1):
-        flush = slot == len(pp_specs) or (
-            sub and sub_elems + pp_specs[slot].num_granules > _MAX_BATCH_GRANULES
-        )
-        if flush and sub:
-            prod_series = []
-            cons_series = []
-            for s in sub:
-                df, wl, agg_res, cmb_res = pp_args[s]
-                prod, cons = granule_series(df, pp_specs[s], agg_res, cmb_res)
-                prod_series.append(prod)
-                cons_series.append(cons)
-            if reference:
-                batch_reports = [
-                    bounded_pipeline(p, c, depth=2)
-                    for p, c in zip(prod_series, cons_series)
-                ]
-            else:
-                batch_reports = bounded_pipeline_batch(
-                    prod_series, cons_series, depth=2
-                )
-            for s, report in zip(sub, batch_reports):
-                reports[s] = report
-            sub = []
-            sub_elems = 0
-        if slot < len(pp_specs):
-            sub.append(slot)
-            sub_elems += pp_specs[slot].num_granules
+    # Each distinct series runs through the recurrence right after it is
+    # built, so at most one element-granularity series (millions of
+    # granules) is resident at a time.
+    reports = []
+    for spec, (df, agg_res, cmb_res) in zip(pp_specs, pp_args):
+        prod, cons = granule_series(df, spec, agg_res, cmb_res)
+        reports.append(bounded_pipeline(prod, cons, depth=2))
 
     results: list[RunResult | None] = [None] * n
     for i, (df, wl, hw, agg_res, cmb_res) in enumerate(items):

@@ -13,29 +13,40 @@ fill, and the recurrence below models the transient stalls exactly:
 Load imbalance between partitions (Fig. 14) shows up as producer or
 consumer idle time, which :class:`PipelineReport` quantifies.
 
-Two interchangeable evaluation strategies are provided:
+The recurrence is inherently sequential (each granule depends on the
+previous one), and element-granularity series run to millions of
+granules, so it has two implementations of the same loop:
 
-- the **batched kernel** (default): :func:`bounded_pipeline_batch` runs
-  the recurrence once per granule *step* across a whole batch of
-  candidates simultaneously — B lanes advance through step ``i`` with a
-  handful of numpy vector operations, instead of B separate Python loops.
-  Ragged batches are sorted longest-first so the lanes still running at
-  any step form a prefix: each step updates prefix views only, finished
-  lanes freeze at their final values, and zero padding can never perturb
-  a lane's arithmetic (every ``max``/``+`` a lane sees is the exact
-  operation the scalar loop would have performed, in the same order —
-  equality is bit-wise, not approximate, and fuzz-proved against the
-  scalar loop and the discrete-event oracle in
-  ``tests/test_pipeline_batch.py``);
-- the **scalar reference**: the original per-granule Python loop, kept as
-  :func:`bounded_pipeline_reference` and selected by setting
-  ``REPRO_REFERENCE_ENGINE=1`` in the environment (the same escape hatch
-  that restores the interpreted micro-simulator engines).
+- the **compiled kernel** (default): ``_pipeline.c``, a plain C loop
+  built with the system C compiler on the first call (never at import)
+  into a cache directory keyed by the source, flags and platform, and
+  called through :mod:`ctypes`;
+- the **reference**: :func:`bounded_pipeline_reference`, the same loop
+  over Python floats.  It is the oracle the compiled kernel is fuzz-
+  proved bit-identical against (``tests/test_pipeline_batch.py``), the
+  path ``REPRO_REFERENCE_ENGINE=1`` selects, and the fallback when no
+  compiler is present or the build or load fails.
+
+Both perform the same IEEE double operations in the same order, so their
+reports are equal field for field; :func:`pipeline_kernel` says which one
+runs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import hashlib
+import math
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -45,17 +56,20 @@ __all__ = [
     "bounded_pipeline",
     "bounded_pipeline_batch",
     "bounded_pipeline_reference",
+    "pipeline_kernel",
 ]
 
-# Below this many still-running lanes the batched step's ufunc overhead
-# exceeds the scalar loop's per-step cost; the batch kernel cuts over to
-# scalar continuations there (a ragged batch's long tail is typically a
-# handful of element-granularity candidates).
-_MIN_LANES = 8
-
-# Steps per refill of the batch region's step-major buffers: bounds the
-# kernel's working set to O(_STEP_CHUNK x lanes) elements.
+# Granules per Python-float segment of the reference loop: converting a
+# multi-million-granule series with one ``tolist()`` would hold it all as
+# boxed floats at once.
 _STEP_CHUNK = 4096
+
+_SOURCE = Path(__file__).with_name("_pipeline.c")
+# -ffp-contract=off and no -ffast-math: the C loop must round every
+# operation exactly as the Python reference does (no fused or reordered
+# arithmetic).
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_PLATFORM = f"{sys.platform}-{platform.machine()}"
 
 
 @dataclass(frozen=True)
@@ -79,211 +93,140 @@ class PipelineReport:
         return self.consumer_busy / self.total_cycles if self.total_cycles else 0.0
 
 
-def _check_series(prod, cons) -> tuple[np.ndarray, np.ndarray]:
+_EMPTY = PipelineReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _check_series(prod, cons, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     p = np.asarray(prod, dtype=np.float64)
     c = np.asarray(cons, dtype=np.float64)
     if p.shape != c.shape or p.ndim != 1:
         raise ValueError("producer/consumer series must be equal-length 1-D arrays")
+    if not (np.isfinite(p).all() and np.isfinite(c).all()):
+        raise ValueError("granule times must be finite")
     if np.any(p < 0) or np.any(c < 0):
         raise ValueError("granule times must be non-negative")
     return p, c
 
 
-def bounded_pipeline_reference(
-    prod: np.ndarray, cons: np.ndarray, *, depth: int = 2
+def _report(
+    p: np.ndarray, c: np.ndarray, total: float, prod_stall: float, cons_stall: float
 ) -> PipelineReport:
-    """The original scalar recurrence (one Python iteration per granule).
-
-    Kept verbatim as the reference implementation the batched kernel is
-    proved against; ``REPRO_REFERENCE_ENGINE=1`` routes
-    :func:`bounded_pipeline` here.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    p, c = _check_series(prod, cons)
-    n = len(p)
-    if n == 0:
-        return PipelineReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    prod_done = np.zeros(n)
-    cons_done = np.zeros(n)
-    prod_stall = 0.0
-    cons_stall = 0.0
-    for i in range(n):
-        start_p = prod_done[i - 1] if i > 0 else 0.0
-        if i - depth >= 0:
-            waited = max(start_p, cons_done[i - depth])
-            prod_stall += waited - start_p
-            start_p = waited
-        prod_done[i] = start_p + p[i]
-        start_c = cons_done[i - 1] if i > 0 else 0.0
-        waited_c = max(start_c, prod_done[i])
-        cons_stall += waited_c - start_c
-        cons_done[i] = waited_c + c[i]
-
-    total = float(cons_done[-1])
     return PipelineReport(
-        total_cycles=int(np.ceil(total)),
-        num_granules=n,
+        total_cycles=math.ceil(total),
+        num_granules=len(p),
         producer_busy=float(p.sum()),
         consumer_busy=float(c.sum()),
-        producer_stall=float(prod_stall),
-        consumer_stall=float(cons_stall),
+        producer_stall=prod_stall,
+        consumer_stall=cons_stall,
         fill_cycles=float(p[0]),
     )
 
 
-def bounded_pipeline_batch(
-    prod_series: Sequence[np.ndarray],
-    cons_series: Sequence[np.ndarray],
-    *,
-    depth: int = 2,
-) -> list[PipelineReport]:
-    """Run the recurrence for a batch of candidates, one step at a time.
+def bounded_pipeline_reference(
+    prod: np.ndarray, cons: np.ndarray, *, depth: int = 2
+) -> PipelineReport:
+    """The recurrence as a Python loop: the oracle and the fallback.
 
-    ``prod_series[b]``/``cons_series[b]`` are candidate ``b``'s per-granule
-    production/consumption times (1-D, possibly different lengths across
-    the batch, possibly empty).  The series are zero-padded into a
-    ``(B, max_n)`` grid and the depth-bounded recurrence advances all B
-    lanes per granule step with vector operations; lanes whose series has
-    ended are frozen by a validity mask, so each lane performs exactly the
-    ``max``/``+``/stall-accumulate sequence the scalar loop would — the
-    returned reports are bit-identical to
-    ``[bounded_pipeline_reference(p, c) for p, c in zip(...)]``.
+    ``window`` holds the last ``depth`` consumer-done times.  Python
+    floats are the same IEEE doubles as numpy's, and every ``max``/``+``
+    below is the exact operation ``_pipeline.c`` performs, in the same
+    order.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if len(prod_series) != len(cons_series):
-        raise ValueError("batch needs one consumer series per producer series")
-    pairs = [_check_series(p, c) for p, c in zip(prod_series, cons_series)]
-    nb = len(pairs)
-    if nb == 0:
-        return []
-    lengths = np.array([len(p) for p, _ in pairs], dtype=np.int64)
-    max_n = int(lengths.max())
-    if max_n == 0:
-        return [PipelineReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)] * nb
+    p, c = _check_series(prod, cons, depth)
+    n = len(p)
+    if n == 0:
+        return _EMPTY
+    prod_done = cons_done = prod_stall = cons_stall = 0.0
+    window = [0.0] * depth
+    for pos in range(0, n, _STEP_CHUNK):
+        p_seg = p[pos : pos + _STEP_CHUNK].tolist()
+        c_seg = c[pos : pos + _STEP_CHUNK].tolist()
+        for i, p_i, c_i in zip(range(pos, n), p_seg, c_seg):
+            slot = i % depth
+            start_p = prod_done
+            if i >= depth and window[slot] > start_p:
+                prod_stall += window[slot] - start_p
+                start_p = window[slot]
+            prod_done = start_p + p_i
+            waited_c = cons_done if cons_done > prod_done else prod_done
+            cons_stall += waited_c - cons_done
+            cons_done = waited_c + c_i
+            window[slot] = cons_done
+    return _report(p, c, cons_done, prod_stall, cons_stall)
 
-    # Lanes sorted longest-first: the set of lanes still running at step
-    # ``i`` is then a *prefix* of the batch, so each step operates on
-    # plain prefix views — no validity masks — and finished lanes simply
-    # stop being written (freezing their final values).  The prefix width
-    # is tracked with a pointer over the sorted lengths (O(1) amortized),
-    # never as a per-step array — series can run to millions of granules.
-    order = np.argsort(-lengths, kind="stable")
-    sorted_lengths = lengths[order]
-    sorted_pairs = [pairs[b] for b in order]
 
-    prod_prev = np.zeros(nb)
-    cons_prev = np.zeros(nb)
-    prod_stall = np.zeros(nb)
-    cons_stall = np.zeros(nb)
-    # Rolling window of the last ``depth`` consumer-done vectors (the
-    # recurrence only ever looks back exactly ``depth`` steps).
-    hist = np.zeros((depth, nb))
-    # Hybrid cutover: once fewer than _MIN_LANES lanes remain, per-step
-    # ufunc overhead on tiny prefixes costs more than the scalar loop, so
-    # the batch loop stops there and each surviving lane finishes in a
-    # scalar continuation seeded from the batch state (same op sequence,
-    # so still bit-identical).  Fewer than _MIN_LANES lanes run past step
-    # ``sorted_lengths[_MIN_LANES - 1]`` by construction.
-    switch = (
-        int(sorted_lengths[_MIN_LANES - 1]) if nb >= _MIN_LANES else 0
+def _find_compiler() -> str | None:
+    return shutil.which("cc")
+
+
+def _library_path() -> Path:
+    """Where the kernel built from this source, with these flags, for this
+    platform lives: ``$XDG_CACHE_HOME/repro`` (else ``~/.cache/repro``)."""
+    key = b"\0".join(
+        [_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(), _PLATFORM.encode()]
     )
-    # The batch region reads step-major buffers refilled every
-    # _STEP_CHUNK steps, so memory stays O(chunk x lanes) no matter how
-    # long the longest series is (a dense (max_n, nb) grid would not fit).
-    k = nb
-    while k and sorted_lengths[k - 1] == 0:
-        k -= 1
-    for start in range(0, switch, _STEP_CHUNK):
-        stop = min(switch, start + _STEP_CHUNK)
-        k0 = k  # widest prefix this chunk touches
-        p_buf = np.zeros((stop - start, k0))
-        c_buf = np.zeros((stop - start, k0))
-        for slot in range(k0):
-            p, c = sorted_pairs[slot]
-            hi = min(len(p), stop)
-            if hi > start:
-                p_buf[: hi - start, slot] = p[start:hi]
-                c_buf[: hi - start, slot] = c[start:hi]
-        for i in range(start, stop):
-            while k and sorted_lengths[k - 1] <= i:
-                k -= 1
-            row = i - start
-            start_p = prod_prev[:k]
-            if i >= depth:
-                waited = np.maximum(start_p, hist[i % depth, :k])
-                prod_stall[:k] += waited - start_p
-                np.add(waited, p_buf[row, :k], out=prod_prev[:k])
-            else:
-                np.add(start_p, p_buf[row, :k], out=prod_prev[:k])
-            start_c = cons_prev[:k]
-            waited_c = np.maximum(start_c, prod_prev[:k])
-            cons_stall[:k] += waited_c - start_c
-            np.add(waited_c, c_buf[row, :k], out=cons_prev[:k])
-            hist[i % depth, :k] = cons_prev[:k]
-    tail_lanes = int(np.searchsorted(-sorted_lengths, -switch, side="left"))
-    for slot in range(tail_lanes):
-        p, c = sorted_pairs[slot]
-        n_b = len(p)
-        pp = float(prod_prev[slot])
-        cp = float(cons_prev[slot])
-        ps_ = float(prod_stall[slot])
-        cs_ = float(cons_stall[slot])
-        window = [float(hist[m, slot]) for m in range(depth)]
-        pos = switch
-        while pos < n_b:
-            seg = min(n_b, pos + _STEP_CHUNK)
-            # Python-float lists: same IEEE doubles as the numpy scalars
-            # (so still bit-identical) at a fraction of the interpreter
-            # overhead — converted one segment at a time so a multi-
-            # million-granule tail never exists as boxed floats at once.
-            p_seg = p[pos:seg].tolist()
-            c_seg = c[pos:seg].tolist()
-            for j, (p_i, c_i) in enumerate(zip(p_seg, c_seg)):
-                i = pos + j
-                start_p = pp if i > 0 else 0.0
-                if i >= depth:
-                    waited = window[i % depth]
-                    if waited > start_p:
-                        ps_ += waited - start_p
-                        start_p = waited
-                pp = start_p + p_i
-                start_c = cp if i > 0 else 0.0
-                waited_c = start_c if start_c > pp else pp
-                cs_ += waited_c - start_c
-                cp = waited_c + c_i
-                window[i % depth] = cp
-            pos = seg
-        prod_prev[slot] = pp
-        cons_prev[slot] = cp
-        prod_stall[slot] = ps_
-        cons_stall[slot] = cs_
+    tag = hashlib.sha256(key).hexdigest()[:16]
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "repro" / f"_pipeline-{tag}.so"
 
-    slot_of = np.empty(nb, dtype=np.int64)
-    slot_of[order] = np.arange(nb)
-    reports: list[PipelineReport] = []
-    for b, (p, c) in enumerate(pairs):
-        if len(p) == 0:
-            reports.append(PipelineReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0))
-            continue
-        slot = slot_of[b]
-        total = float(cons_prev[slot])
-        # Busy totals come from the *unpadded* series: np.sum is pairwise,
-        # so summing a zero-padded row could round differently.
-        reports.append(
-            PipelineReport(
-                total_cycles=int(np.ceil(total)),
-                num_granules=int(lengths[b]),
-                producer_busy=float(p.sum()),
-                consumer_busy=float(c.sum()),
-                producer_stall=float(prod_stall[slot]),
-                consumer_stall=float(cons_stall[slot]),
-                fill_cycles=float(p[0]),
-            )
-        )
-    return reports
+
+@functools.cache
+def _compiled_kernel():
+    """Build (once per source/flags/platform) and load the C kernel.
+
+    Returns the ctypes function, or ``None`` when there is no compiler or
+    the build or load fails.  Concurrent first calls from several
+    processes each compile to a private temporary file and ``os.replace``
+    it into place, so every process loads a complete library (and a
+    library some process has mapped is never rewritten in place).
+    """
+    try:
+        target = _library_path()
+        if not target.exists():
+            cc = _find_compiler()
+            if cc is None:
+                return None
+            target.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
+            os.close(fd)
+            try:
+                subprocess.run(
+                    [cc, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+                    check=True,
+                    capture_output=True,
+                )
+                os.replace(tmp, target)
+            finally:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(target)).bounded_pipeline_run
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None
+    fn.argtypes = [
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_long,
+        ctypes.c_long,
+        ctypes.POINTER(ctypes.c_double),
+        ctypes.POINTER(ctypes.c_double),
+    ]
+    fn.restype = None
+    return fn
+
+
+def pipeline_kernel() -> str:
+    """Which implementation :func:`bounded_pipeline` runs: ``"compiled"``
+    or ``"python"`` (the reference, under ``REPRO_REFERENCE_ENGINE=1`` or
+    when the C kernel cannot be built or loaded).  The first call may
+    build the kernel."""
+    # Lazy: engine.cycle_model imports repro.core.
+    from ..engine.cycle_model import use_reference_engine
+
+    if use_reference_engine() or _compiled_kernel() is None:
+        return "python"
+    return "compiled"
 
 
 def bounded_pipeline(
@@ -292,12 +235,30 @@ def bounded_pipeline(
     """Run the bounded-buffer pipeline recurrence for one candidate.
 
     ``prod[i]``/``cons[i]`` are the cycles to produce/consume granule ``i``.
-    ``depth`` is the number of ping-pong banks (2 in the paper).
-
-    Because the scalar loop and :func:`bounded_pipeline_batch` are
-    bit-identical, the single-candidate entry point always uses the scalar
-    loop (cheaper for one lane); batch-of-candidates callers —
-    :func:`repro.core.interphase.compose_batch` — use the batched kernel,
-    falling back to this scalar path under ``REPRO_REFERENCE_ENGINE=1``.
+    ``depth`` is the number of ping-pong banks (2 in the paper).  The
+    report is bit-identical to :func:`bounded_pipeline_reference`'s.
     """
-    return bounded_pipeline_reference(prod, cons, depth=depth)
+    if pipeline_kernel() == "python":
+        return bounded_pipeline_reference(prod, cons, depth=depth)
+    p, c = map(np.ascontiguousarray, _check_series(prod, cons, depth))
+    if len(p) == 0:
+        return _EMPTY
+    window = (ctypes.c_double * depth)()
+    out = (ctypes.c_double * 3)()
+    _compiled_kernel()(p.ctypes.data, c.ctypes.data, len(p), depth, window, out)
+    return _report(p, c, *out)
+
+
+def bounded_pipeline_batch(
+    prod_series: Sequence[np.ndarray],
+    cons_series: Sequence[np.ndarray],
+    *,
+    depth: int = 2,
+) -> list[PipelineReport]:
+    """:func:`bounded_pipeline` for each ``(prod_series[b], cons_series[b])``
+    pair (series may differ in length across the batch, or be empty)."""
+    if len(prod_series) != len(cons_series):
+        raise ValueError("batch needs one consumer series per producer series")
+    return [
+        bounded_pipeline(p, c, depth=depth) for p, c in zip(prod_series, cons_series)
+    ]
