@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """Cost-model core micro-benchmark: vectorized engines vs the reference.
 
-Times the two hot kernels the vectorized core replaced, on a
-CiteSeer-scale workload (the paper's single-graph HF dataset):
+Times the public micro-simulator entry points against their interpreted
+references, on a CiteSeer-scale workload (the paper's single-graph HF
+dataset):
 
-1. ``cycle_accurate_spmm`` — interpreted loop-nest walk vs numpy
-   index-grid evaluation over the ``TileStats`` sparsity cache;
-2. ``cycle_accurate_gemm`` — interpreted walk vs cached-geometry
-   array reductions;
+1. ``cycle_accurate_spmm`` — interpreted loop-nest walk vs chunk-streamed
+   numpy blocks over the ``TileStats`` sparsity cache;
+2. ``cycle_accurate_gemm`` — interpreted walk vs chunk-streamed array
+   reductions;
 3. ``simulate_spmm`` TileStats reuse — the first candidate of a session
    pays the per-tiling degree scans, the second answers them from the
    shared cache.
@@ -44,7 +45,8 @@ Run from the repo root::
     PYTHONPATH=src python benchmarks/bench_cost_model.py --batched --check
 
 Correctness of the vectorized path is *not* this script's job — the
-equivalence suite (``tests/test_engine_vectorized.py``) proves identical
+equivalence suites (``tests/test_engine_vectorized.py``,
+``tests/test_engine_streamed.py``) prove identical
 ``CycleReport``/``PhaseStats`` output; this script only measures, and
 asserts the reports agree as a sanity guard.
 """
@@ -62,10 +64,11 @@ from pathlib import Path
 from repro.arch.config import AcceleratorConfig
 from repro.core.taxonomy import IntraDataflow, Phase
 from repro.engine.cycle_model import (
-    _cycle_accurate_gemm_vectorized,
-    _cycle_accurate_spmm_vectorized,
+    cycle_accurate_gemm,
     cycle_accurate_gemm_reference,
+    cycle_accurate_spmm,
     cycle_accurate_spmm_reference,
+    use_reference_engine,
 )
 from repro.engine.gemm import GemmSpec, GemmTiling
 from repro.engine.spmm import SpmmSpec, SpmmTiling, simulate_spmm
@@ -106,7 +109,7 @@ def bench_spmm(graph) -> dict:
     )
     stats = TileStats(graph)
     vec_s, vec = _best_of(
-        lambda: _cycle_accurate_spmm_vectorized(spec, intra, SPMM_TILES, hw, stats),
+        lambda: cycle_accurate_spmm(spec, intra, SPMM_TILES, hw, stats=stats),
         5,
     )
     assert (ref.cycles, ref.steps, ref.gb_reads, ref.gb_writes) == (
@@ -132,7 +135,7 @@ def bench_gemm() -> dict:
         lambda: cycle_accurate_gemm_reference(spec, intra, GEMM_TILES, hw), 1
     )
     vec_s, vec = _best_of(
-        lambda: _cycle_accurate_gemm_vectorized(spec, intra, GEMM_TILES, hw), 5
+        lambda: cycle_accurate_gemm(spec, intra, GEMM_TILES, hw), 5
     )
     assert (ref.cycles, ref.steps, ref.gb_reads, ref.gb_writes) == (
         vec.cycles,
@@ -194,7 +197,6 @@ def bench_batched_compose() -> dict:
     from repro.core.evaluator import DataflowEvaluator
     from repro.core.pipeline import pipeline_kernel
     from repro.core.workload import workload_from_dataset
-    from repro.engine.cycle_model import use_reference_engine
 
     if use_reference_engine():
         # The flag would make the "batched" side run the scalar compose
@@ -266,7 +268,6 @@ def bench_generation() -> dict:
         _fingerprint,
     )
     from repro.core.workload import workload_from_dataset
-    from repro.engine.cycle_model import use_reference_engine
 
     if use_reference_engine():
         raise SystemExit(
@@ -326,6 +327,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.batched and args.generation:
         ap.error("--batched and --generation are mutually exclusive")
 
+    if not (args.batched or args.generation) and use_reference_engine():
+        # Both sides of the micro-benchmarks would run the interpreted
+        # loops, producing a meaningless ~1x entry.
+        raise SystemExit(
+            "unset REPRO_REFERENCE_ENGINE before running the engine micros"
+        )
     graph = load_dataset("citeseer").graph
     default_label = "vectorized-core"
     if args.batched:

@@ -210,7 +210,6 @@ class ExplorationSession:
                 # ``tilestats_memory()`` instead.
                 "tilestats_peak_nbytes": mem["peak_nbytes"],
                 "tilestats_evictions": mem["evictions"],
-                "dense_grid_builds": mem["dense_grid_builds"],
                 "streamed_chunk_passes": mem["streamed_chunk_passes"],
             }
 

@@ -18,22 +18,25 @@ Because it never uses the engines' formulas, agreement between the two is a
 meaningful check; the test suite asserts traffic counts match exactly and
 cycle counts match up to pipeline fill/rounding.
 
-Two interchangeable implementations are provided:
+Each kernel has one fast path and one oracle:
 
-- the **vectorized engine** (default): the loop nest is materialized as
-  numpy index grids, per-step populations come from the
-  :class:`~repro.engine.tilestats.TileStats` sparsity cache, and the
-  elastic pipeline is evaluated as a cumulative-max recurrence — per-tile
-  array reductions instead of O(V x tiles) Python iteration;
-- the **reference engine**: the original interpreted loops, selected by
-  setting ``REPRO_REFERENCE_ENGINE=1`` in the environment.  The
-  equivalence suite (``tests/test_engine_vectorized.py``) proves both
-  produce identical :class:`CycleReport`\\ s.
+- the **streamed engine** (default): the loop nest is produced in exact
+  iteration order as numpy blocks — flat step ranges for GEMM, vertex-tile
+  slabs or neighbor-step bands from the
+  :class:`~repro.engine.tilestats.TileStats` sparsity cache for SpMM — and
+  the elastic pipeline is a max-plus scan carried across blocks
+  (:class:`_PipelineScan`).  One block covers the whole nest when it fits
+  the block size; a ``TileStats`` byte budget shrinks the blocks, so peak
+  memory stays bounded at any graph size;
+- the **reference engine**: the interpreted loops, selected by setting
+  ``REPRO_REFERENCE_ENGINE=1`` in the environment.  The equivalence
+  suites (``tests/test_engine_vectorized.py``,
+  ``tests/test_engine_streamed.py``) prove both produce identical
+  :class:`CycleReport`\\ s.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -54,7 +57,6 @@ __all__ = [
     "cycle_accurate_gemm_reference",
     "cycle_accurate_spmm_reference",
     "use_reference_engine",
-    "use_streamed_engine",
 ]
 
 
@@ -64,17 +66,6 @@ def use_reference_engine() -> bool:
     Read at call time so tests and CI can flip engines per invocation.
     """
     flag = os.environ.get("REPRO_REFERENCE_ENGINE", "")
-    return flag.strip().lower() in {"1", "true", "yes", "on"}
-
-
-def use_streamed_engine() -> bool:
-    """Whether ``REPRO_STREAM_ENGINE`` forces the chunk-streamed engines.
-
-    Without the flag, streaming engages automatically whenever a
-    :class:`TileStats` byte budget is set and the dense working set would
-    exceed it.  Read at call time, like :func:`use_reference_engine`.
-    """
-    flag = os.environ.get("REPRO_STREAM_ENGINE", "")
     return flag.strip().lower() in {"1", "true", "yes", "on"}
 
 
@@ -123,7 +114,7 @@ def _pipeline(
     ints never overflow): the final ``ceil`` is then deterministic, where
     the historical per-step float accumulation rounded nondeterministically
     when the true value landed on a cycle boundary — and, crucially, the
-    vectorized scan (:func:`_pipeline_arrays`) computes bit-identical
+    vectorized scan (:class:`_PipelineScan`) computes bit-identical
     results because integer max-plus algebra reassociates exactly.
     """
     bwd = hw.effective_dist_bw
@@ -142,55 +133,25 @@ def _pipeline(
     return -(-collect_num // scale), -(-fill_num // scale)
 
 
-def _pipeline_arrays(
-    stream: np.ndarray,
-    drain: np.ndarray,
-    load: np.ndarray,
-    hw: AcceleratorConfig,
-) -> tuple[int, int]:
-    """Vectorized :func:`_pipeline`: the same recurrence as two max-plus
-    cumulative scans over the exact scaled-integer numerators.
+class _PipelineScan:
+    """Vectorized :func:`_pipeline`: the same exact recurrence evaluated
+    as max-plus cumulative scans, fed incrementally over per-step blocks.
 
-    With ``d`` the distribution-free numerators and ``L`` the scaled
+    With ``d`` the scaled distribution numerators and ``L`` the scaled
     per-step compute latencies, ``compute[i] = max(compute[i-1], d[i]) +
     L[i]`` unrolls to ``max_j<=i (d[j] + sum(L[j..i]))`` — a running
     maximum of ``d - cumsum(L)`` shifted back by ``cumsum(L)``.  The
     collection server is the same scan again, of which only the final
-    value is needed.  int64 numerators bound the usable problem size
-    (counts x bandwidths below ~9e18 — far beyond the "small problems
-    only" scope of this validator).
-    """
-    if stream.size == 0:
-        return 0, 0
-    bwd = hw.effective_dist_bw
-    bwr = hw.effective_red_bw
-    scale = bwd * bwr
-    s = np.asarray(stream, dtype=np.int64)
-    w = np.asarray(drain, dtype=np.int64)
-    lat = (1 + np.asarray(load, dtype=np.int64)) * scale
-    dist = np.add.accumulate(s) * bwr
-    cum_lat = np.add.accumulate(lat)
-    compute = np.maximum.accumulate(dist - (cum_lat - lat)) + cum_lat
-    wd = w * bwd
-    cum_w = np.add.accumulate(wd)
-    collect_num = int(np.max(compute - (cum_w - wd)) + cum_w[-1])
-    fill_num = int(dist[0])
-    return -(-collect_num // scale), -(-fill_num // scale)
-
-
-class _PipelineScan:
-    """Chunk-streamed :func:`_pipeline_arrays`: the same exact max-plus
-    recurrence evaluated incrementally over per-step blocks.
-
-    The dense scan is two cumulative maxima over scaled-integer
-    numerators; both decompose into running state carried across chunks:
-    the cumulative stream/latency/drain sums, ``A`` = the running maximum
-    of ``dist[j] - cum_lat[j-1]`` (seeding the next chunk's
-    ``maximum.accumulate``), and ``B`` = the running maximum of
-    ``compute[i] - cum_w[i-1]`` (of which only the final value matters).
-    Because integer max-plus algebra reassociates exactly, feeding the
-    same per-step values in the same order through any chunking yields
-    bit-identical ``(cycles, fill)``.
+    value is needed.  Both scans decompose into running state carried
+    across blocks: the cumulative stream/latency/drain sums, ``A`` = the
+    running maximum of ``dist[j] - cum_lat[j-1]`` (seeding the next
+    block's ``maximum.accumulate``), and ``B`` = the running maximum of
+    ``compute[i] - cum_w[i-1]``.  Because integer max-plus algebra
+    reassociates exactly, feeding the same per-step values in the same
+    order through any chunking yields bit-identical ``(cycles, fill)``.
+    int64 numerators bound the usable problem size (counts x bandwidths
+    below ~9e18 — far beyond the "small problems only" scope of this
+    validator).
     """
 
     def __init__(self, hw: AcceleratorConfig) -> None:
@@ -239,8 +200,8 @@ class _PipelineScan:
         self._w = int(cum_w[-1])
 
     def finish(self) -> tuple[int, int]:
-        """``(total_cycles, fill_cycles)`` — :func:`_pipeline_arrays` of
-        the concatenation of everything fed so far."""
+        """``(total_cycles, fill_cycles)`` — :func:`_pipeline` of the
+        concatenation of everything fed so far."""
         if not self._seen:
             return 0, 0
         collect_num = int(self._b) + self._w
@@ -248,91 +209,12 @@ class _PipelineScan:
 
 
 # ----------------------------------------------------------------------
-# GEMM: loop-nest geometry (hoisted out of the per-candidate path)
+# GEMM micro-simulation
 # ----------------------------------------------------------------------
 
 _LEFT_DIMS = (Dim.V, Dim.F)
 _RIGHT_DIMS = (Dim.F, Dim.G)
 
-
-@dataclass(frozen=True)
-class _GemmGeometry:
-    """Everything about a tiled GEMM loop nest that depends only on
-    ``(sizes, tiles, order)`` — shared across candidates and cached across
-    calls (hardware points, operand names, and psum policy vary per call,
-    the nest itself does not)."""
-
-    steps: dict  # Dim -> trip count
-    pos: dict  # Dim -> loop level
-    total: int
-    n_fsteps: int
-    mat_level: dict  # role ('left'/'right') -> innermost dependence level
-    mat_elems: dict  # role -> per-step tile elements (int64, len total)
-    mat_fetch: dict  # role -> fetch mask (bool, len total)
-    mat_reads: dict  # role -> total fetched elements (int)
-    out_elems: np.ndarray  # per-step output-tile elements
-    completing: np.ndarray  # mask: contraction finishes at this step
-    revisit: np.ndarray  # mask: output tile was visited before (f idx > 0)
-
-
-@functools.lru_cache(maxsize=64)
-def _gemm_geometry(
-    sizes: tuple[int, int, int],
-    tiles: tuple[int, int, int],
-    order: tuple[Dim, ...],
-) -> _GemmGeometry:
-    size = {Dim.V: sizes[0], Dim.F: sizes[1], Dim.G: sizes[2]}
-    tile = {Dim.V: tiles[0], Dim.F: tiles[1], Dim.G: tiles[2]}
-    ranges = {d: _ranges(size[d], tile[d]) for d in size}
-    widths = {
-        d: np.asarray([hi - lo for lo, hi in ranges[d]], dtype=np.int64)
-        for d in size
-    }
-    steps = {d: len(ranges[d]) for d in size}
-    pos = {d: order.index(d) for d in order}
-    extents = tuple(steps[d] for d in order)
-    total = extents[0] * extents[1] * extents[2]
-    strides = (extents[1] * extents[2], extents[2], 1)
-    flat = np.arange(total, dtype=np.int64)
-    level_idx = [(flat // strides[p]) % extents[p] for p in range(3)]
-    dim_idx = {d: level_idx[pos[d]] for d in order}
-    wd = {d: widths[d][dim_idx[d]] for d in order}
-
-    mat_level: dict[str, int] = {}
-    mat_elems: dict[str, np.ndarray] = {}
-    mat_fetch: dict[str, np.ndarray] = {}
-    mat_reads: dict[str, int] = {}
-    for role, dims in (("left", _LEFT_DIMS), ("right", _RIGHT_DIMS)):
-        level = max(pos[d] for d in dims)
-        elems = wd[dims[0]] * wd[dims[1]]
-        # A tile is (re)fetched whenever any loop index at or above its
-        # innermost dependence level changed — i.e. whenever the deeper
-        # levels' odometer rolled over.
-        fetch = (flat % strides[level]) == 0
-        mat_level[role] = level
-        mat_elems[role] = elems
-        mat_fetch[role] = fetch
-        mat_reads[role] = int(elems[fetch].sum())
-
-    f_idx = dim_idx[Dim.F]
-    return _GemmGeometry(
-        steps=steps,
-        pos=pos,
-        total=total,
-        n_fsteps=steps[Dim.F],
-        mat_level=mat_level,
-        mat_elems=mat_elems,
-        mat_fetch=mat_fetch,
-        mat_reads=mat_reads,
-        out_elems=wd[Dim.V] * wd[Dim.G],
-        completing=f_idx == steps[Dim.F] - 1,
-        revisit=f_idx > 0,
-    )
-
-
-# ----------------------------------------------------------------------
-# GEMM micro-simulation
-# ----------------------------------------------------------------------
 
 def cycle_accurate_gemm_reference(
     spec: GemmSpec,
@@ -427,69 +309,6 @@ def cycle_accurate_gemm_reference(
     )
 
 
-def _cycle_accurate_gemm_vectorized(
-    spec: GemmSpec,
-    intra: IntraDataflow,
-    tiling: GemmTiling,
-    hw: AcceleratorConfig,
-) -> CycleReport:
-    """Vectorized GEMM micro-simulation over cached loop-nest geometry."""
-    if intra.phase is not Phase.COMBINATION:
-        raise ValueError("cycle_accurate_gemm requires a Combination dataflow")
-    geo = _gemm_geometry(
-        (spec.rows, spec.inner, spec.cols),
-        (tiling.t_v, tiling.t_f, tiling.t_g),
-        intra.order,
-    )
-    live = 1
-    for d in intra.order[geo.pos[Dim.F] + 1 :]:
-        if d in (Dim.V, Dim.G):
-            live *= geo.steps[d]
-    psum_resident = hw.supports_temporal_reduction and live <= hw.pe_accumulators
-    spill = geo.n_fsteps > 1 and not psum_resident
-    bwd = hw.effective_dist_bw
-
-    gb_reads: dict[str, float] = {}
-    stream = np.zeros(geo.total, dtype=np.float64)
-    load = np.zeros(geo.total, dtype=np.int64)
-    roles = {"left": spec.left_name, "right": spec.right_name}
-    for role, name in roles.items():
-        gb_reads[name] = gb_reads.get(name, 0.0) + float(geo.mat_reads[role])
-        if geo.mat_level[role] == 2:
-            stream += geo.mat_elems[role]  # streamed: fetched every step
-        else:
-            fetch = geo.mat_fetch[role]
-            # Stationary at some level: each tile load serializes with
-            # compute (no double buffering in the substrate's RF).
-            load[fetch] += np.ceil(geo.mat_elems[role][fetch] / bwd).astype(
-                np.int64
-            )
-
-    out = geo.out_elems
-    gb_writes: dict[str, float] = {
-        spec.out_name: float(out[geo.completing].sum())
-    }
-    if spill:
-        drain = out.astype(np.float64)  # every visit drains: out or psum
-        gb_writes["psum"] = float(out[~geo.completing].sum())
-        gb_reads["psum"] = gb_reads.get("psum", 0.0) + float(
-            out[geo.revisit].sum()
-        )
-        stream = stream + np.where(geo.revisit, out, 0)
-    else:
-        drain = np.where(geo.completing, out, 0).astype(np.float64)
-
-    cycles, fill = _pipeline_arrays(stream, drain, load, hw)
-    return CycleReport(
-        cycles=cycles,
-        steps=geo.total,
-        gb_reads=gb_reads,
-        gb_writes=gb_writes,
-        load_stall_cycles=int(load.sum()),
-        fill_cycles=fill,
-    )
-
-
 def _cycle_accurate_gemm_streamed(
     spec: GemmSpec,
     intra: IntraDataflow,
@@ -498,12 +317,12 @@ def _cycle_accurate_gemm_streamed(
     *,
     chunk_steps: int,
 ) -> CycleReport:
-    """Chunk-streamed GEMM micro-simulation: :func:`_gemm_geometry`'s
-    per-step arrays recomputed per flat-index range ``[lo, hi)`` and
-    reduced on the fly, so peak memory is O(chunk) instead of O(total).
+    """Chunk-streamed GEMM micro-simulation: the loop nest's per-step
+    arrays are built per flat-index range ``[lo, hi)`` and reduced on the
+    fly, so peak memory is O(chunk) instead of O(total).
 
     Every per-step quantity is a pure function of the flat step index, so
-    chunked recomputation is trivially bit-identical to the dense path.
+    the result does not depend on ``chunk_steps``.
     """
     if intra.phase is not Phase.COMBINATION:
         raise ValueError("cycle_accurate_gemm requires a Combination dataflow")
@@ -592,15 +411,15 @@ def _cycle_accurate_gemm_streamed(
     )
 
 
-# Per-step transient footprint of the dense paths, in 8-byte words: the
-# GEMM geometry keeps ~12 int64/bool arrays of length `total`; the SpMM
-# nest adds the flat/level grids on top of the 3 stats grids.  Used only
-# to decide when a byte budget forces the streamed engines.
-_DENSE_WORDS_PER_STEP = 12
+# Per-step transient footprint of one GEMM chunk, in 8-byte words (~12
+# int64/bool arrays of chunk length).  Sizes the chunks against the byte
+# budget, or against 16 MiB without one.
+_GEMM_WORDS_PER_STEP = 12
 
 
-def _gemm_stream_budget(stats: TileStats | None) -> int | None:
-    return stats.byte_budget if stats is not None else default_byte_budget()
+def _gemm_chunk_steps(stats: TileStats | None) -> int:
+    budget = stats.byte_budget if stats is not None else default_byte_budget()
+    return max(1, (budget or (1 << 24)) // (8 * _GEMM_WORDS_PER_STEP))
 
 
 def cycle_accurate_gemm(
@@ -615,27 +434,14 @@ def cycle_accurate_gemm(
 
     ``stats`` is accepted for signature symmetry with the SpMM engine
     (dense GEMM needs no sparsity statistics) and, when it carries a byte
-    budget, to bound the micro-simulation's working set: loop nests whose
-    dense geometry would exceed the budget run chunk-streamed instead.
+    budget, to bound the micro-simulation's working set: the nest is
+    streamed in chunks sized to the budget (one chunk when it fits).
     """
     if use_reference_engine():
         return cycle_accurate_gemm_reference(spec, intra, tiling, hw)
-    budget = _gemm_stream_budget(stats)
-    if budget is not None or use_streamed_engine():
-        size = {Dim.V: spec.rows, Dim.F: spec.inner, Dim.G: spec.cols}
-        tile = {Dim.V: tiling.t_v, Dim.F: tiling.t_f, Dim.G: tiling.t_g}
-        total = 1
-        for d in size:
-            total *= len(_ranges(size[d], tile[d]))
-        dense_bytes = 8 * _DENSE_WORDS_PER_STEP * total
-        if use_streamed_engine() or (budget is not None and dense_bytes > budget):
-            chunk = max(
-                1, (budget or (1 << 24)) // (8 * _DENSE_WORDS_PER_STEP)
-            )
-            return _cycle_accurate_gemm_streamed(
-                spec, intra, tiling, hw, chunk_steps=chunk
-            )
-    return _cycle_accurate_gemm_vectorized(spec, intra, tiling, hw)
+    return _cycle_accurate_gemm_streamed(
+        spec, intra, tiling, hw, chunk_steps=_gemm_chunk_steps(stats)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -764,107 +570,6 @@ def cycle_accurate_spmm_reference(
     )
 
 
-def _cycle_accurate_spmm_vectorized(
-    spec: SpmmSpec,
-    intra: IntraDataflow,
-    tiling: SpmmTiling,
-    hw: AcceleratorConfig,
-    stats: TileStats | None,
-) -> CycleReport:
-    """Vectorized SpMM micro-simulation over :class:`TileStats` grids."""
-    if intra.phase is not Phase.AGGREGATION:
-        raise ValueError("cycle_accurate_spmm requires an Aggregation dataflow")
-    g: CSRGraph = spec.graph
-    num_v = g.num_vertices
-    feat = spec.feat
-    t_v = min(tiling.t_v, max(1, num_v))
-    t_f = min(tiling.t_f, feat)
-    t_n = max(1, tiling.t_n)
-    stats = resolve_stats(stats, g)
-    grids = stats.step_grids(t_v, t_n)
-    f_ranges = _ranges(feat, t_f)
-    n_ftiles = len(f_ranges)
-    f_widths = np.asarray([hi - lo for lo, hi in f_ranges], dtype=np.int64)
-    order = intra.order
-    pos = {d: order.index(d) for d in order}
-    live = 1
-    for d in order[pos[Dim.N] + 1 :]:
-        if d is Dim.V:
-            live *= grids.n_vtiles
-        elif d is Dim.F:
-            live *= n_ftiles
-    psum_resident = hw.supports_temporal_reduction and live <= hw.pe_accumulators
-    f_latched = pos[Dim.F] == 2  # F innermost: edge index latched across f
-
-    # The loop nest as flat index grids, in the dataflow's iteration order.
-    extent = {
-        Dim.V: grids.n_vtiles,
-        Dim.F: n_ftiles,
-        Dim.N: max(1, grids.max_nsteps),
-    }
-    shape = tuple(extent[d] for d in order)
-    total = shape[0] * shape[1] * shape[2]
-    strides = (shape[1] * shape[2], shape[2], 1)
-    flat = np.arange(total, dtype=np.int64)
-    level_idx = [(flat // strides[p]) % shape[p] for p in range(3)]
-    vi = level_idx[pos[Dim.V]]
-    fi = level_idx[pos[Dim.F]]
-    ni = level_idx[pos[Dim.N]]
-    mask = ni < grids.tile_steps[vi]  # lock-step pass finished => skipped
-    vi, fi, ni = vi[mask], fi[mask], ni[mask]
-    steps = int(vi.size)
-
-    act = grids.active[vi, ni]
-    edg = grids.edges[vi, ni]
-    comp = grids.completing[vi, ni]
-    fw = f_widths[fi] if steps else f_widths[:0]
-
-    gb_reads: dict[str, float] = {"adj": float(num_v + 1)}
-    gb_writes: dict[str, float] = {}
-    edge_fw = edg * fw
-    stream = edge_fw.astype(np.float64)
-    if steps:
-        gb_reads[spec.x_name] = float(edge_fw.sum())
-        adj_extra = edg[fi == 0].sum() if f_latched else edg.sum()
-        gb_reads["adj"] += float(adj_extra)
-    comp_fw = comp * fw
-    drain = comp_fw.astype(np.float64)
-    out_writes = int(comp_fw.sum())
-    if out_writes:
-        gb_writes[spec.out_name] = float(out_writes)
-    if not psum_resident and steps:
-        spill_fw = (act - comp) * fw
-        spilled = int(spill_fw.sum())
-        if spilled:
-            gb_writes["psum"] = float(spilled)
-        drain = drain + spill_fw
-        cont_fw = np.where(ni > 0, act, 0) * fw
-        continuing = int(cont_fw.sum())
-        if continuing:
-            gb_reads["psum"] = float(continuing)
-        stream = stream + cont_fw
-
-    # Zero-degree rows never enter the loop but their (all-zero) output
-    # rows are still flushed once, as in the engine's V x feat write count.
-    zero_rows = stats.zero_degree_rows
-    if zero_rows:
-        gb_writes[spec.out_name] = (
-            gb_writes.get(spec.out_name, 0.0) + zero_rows * feat
-        )
-
-    cycles, fill = _pipeline_arrays(
-        stream, drain, np.zeros(steps, dtype=np.int64), hw
-    )
-    return CycleReport(
-        cycles=cycles,
-        steps=steps,
-        gb_reads=gb_reads,
-        gb_writes=gb_writes,
-        load_stall_cycles=0,
-        fill_cycles=fill,
-    )
-
-
 def _expand_f_mid(seg_lengths: np.ndarray, n_f: int) -> tuple[np.ndarray, np.ndarray]:
     """Emission indices for an F-middle loop over segmented cells.
 
@@ -927,7 +632,8 @@ def _band_cells(
     c1: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cells of neighbor-step columns ``[c0, c1)`` in (ni asc, vi asc)
-    order, built band-locally with the dense grids' scatter-add math.
+    order, built band-locally with the slab builder's scatter-add math
+    (:func:`~repro.engine.tilestats._scatter_grids`).
 
     ``active_idx`` pre-selects the vertices with ``s > c0`` (callers take
     it from a presorted suffix); memory is O(n_vtiles x band width).
@@ -975,8 +681,8 @@ def _cycle_accurate_spmm_streamed(
 ) -> CycleReport:
     """Chunk-streamed SpMM micro-simulation over :class:`TileStats`.
 
-    Bit-identical to :func:`_cycle_accurate_spmm_vectorized` without ever
-    materializing the dense ``(n_vtiles, max_nsteps)`` grids or the flat
+    Bit-identical to :func:`cycle_accurate_spmm_reference` without ever
+    materializing the whole ``(n_vtiles, max_nsteps)`` grids or the flat
     loop-nest index arrays: cells are produced in exact nest order —
     vtile-row slabs (:meth:`TileStats.step_grid_chunks`) when V precedes
     N in the loop order, neighbor-step column bands otherwise — and the
@@ -1051,14 +757,12 @@ def _cycle_accurate_spmm_streamed(
         if f_pass is not None:  # F outermost: one pass per f tile
             sel = np.arange(n_cells, dtype=np.int64)
             fi = np.full(n_cells, f_pass, dtype=np.int64)
-            consume(act, edg, comp, ni, sel, fi)
         elif f_latched:  # F innermost: each cell repeats across f tiles
             sel = np.repeat(np.arange(n_cells, dtype=np.int64), n_ftiles)
             fi = np.tile(np.arange(n_ftiles, dtype=np.int64), n_cells)
-            consume(act, edg, comp, ni, sel, fi)
         else:  # F middle: each segment replays per f tile
             sel, fi = _expand_f_mid(seg_lengths, n_ftiles)
-            consume(act, edg, comp, ni, sel, fi)
+        consume(act, edg, comp, ni, sel, fi)
 
     v_major = pos[Dim.V] < pos[Dim.N]
     f_passes: list[int | None] = (
@@ -1076,8 +780,8 @@ def _cycle_accurate_spmm_streamed(
         s_sorted = s[s_order]
         deg = g.degrees
         for f_pass in f_passes:
-            stats.streamed_chunk_passes += 1
             for c0 in range(0, max_nsteps, bandw):
+                stats.streamed_chunk_passes += 1
                 c1 = min(c0 + bandw, max_nsteps)
                 start = int(np.searchsorted(s_sorted, c0, side="right"))
                 cells = _band_cells(
@@ -1135,7 +839,7 @@ def _spmm_band_width(stats: TileStats, n_vtiles: int, n_ftiles: int) -> int:
 def _stream_block_bytes(stats: TileStats) -> int:
     budget = stats.byte_budget
     if budget is None:
-        return 1 << 24  # forced streaming with no budget: 16 MiB blocks
+        return 1 << 24  # no budget: 16 MiB blocks
     return max(budget // 4, 1 << 16)
 
 
@@ -1154,18 +858,10 @@ def cycle_accurate_spmm(
     produce no traffic.  ``stats`` is an optional
     :class:`~repro.engine.tilestats.TileStats` handle for the spec's graph;
     sharing one across candidates amortizes the per-tiling sparsity scans,
-    and its byte budget (or ``REPRO_STREAM_ENGINE=1``) selects the
-    chunk-streamed engine when the dense grids would not fit.
+    and its byte budget sizes the streamed blocks.
     """
     if use_reference_engine():
         return cycle_accurate_spmm_reference(spec, intra, tiling, hw)
-    g = spec.graph
-    resolved = resolve_stats(stats, g)
-    t_v = min(tiling.t_v, max(1, g.num_vertices))
-    t_n = max(1, tiling.t_n)
-    budget = resolved.byte_budget
-    if use_streamed_engine() or (
-        budget is not None and resolved.grid_nbytes(t_v, t_n) > budget
-    ):
-        return _cycle_accurate_spmm_streamed(spec, intra, tiling, hw, resolved)
-    return _cycle_accurate_spmm_vectorized(spec, intra, tiling, hw, resolved)
+    return _cycle_accurate_spmm_streamed(
+        spec, intra, tiling, hw, resolve_stats(stats, spec.graph)
+    )

@@ -23,15 +23,16 @@ All entries are derived with prefix-sum / scatter-add kernels over
 bumps ``hits``/``misses`` so cache effectiveness is assertable in tests
 and reportable by benchmarks.
 
-Memory bounding (the web-scale tier): dense :class:`StepGrids` entries are
-``(n_vtiles, max_nsteps)`` int64 grids — on a heavy-tail million-vertex
-graph a single entry can exceed host memory, and the cache keeps one per
-tiling.  A :class:`TileStats` therefore accepts a ``byte_budget`` (or the
-``REPRO_TILESTATS_BUDGET`` environment variable): cached arrays are
-accounted and evicted least-recently-used when the total exceeds the
-budget, and :meth:`TileStats.step_grid_chunks` produces the same grids as
-a stream of fixed-size vtile-row chunks so the micro-simulator can run as
-a chunked reduction without ever materializing a full grid.
+Memory bounding (the web-scale tier): the micro-simulator's
+per-(vtile, nstep) populations form ``(n_vtiles, max_nsteps)`` grids — on
+a heavy-tail million-vertex graph a whole grid can exceed host memory.
+They are therefore never cached: :meth:`TileStats.step_grid_chunks`
+builds them on demand as a stream of vtile-row slabs
+(:class:`StepGrids`), so the micro-simulator runs as a chunked
+reduction.  The cached O(V) entries are bounded too: a
+:class:`TileStats` accepts a ``byte_budget`` (or the
+``REPRO_TILESTATS_BUDGET`` environment variable), and cached arrays are
+accounted and evicted least-recently-used when the total exceeds it.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ def resolve_stats(stats: "TileStats | None", graph: CSRGraph) -> "TileStats":
 
 @dataclass(frozen=True)
 class StepGrids:
-    """Dense per-(vertex-tile, neighbor-step) populations for one tiling.
+    """Per-(vertex-tile, neighbor-step) populations of a run of tiles.
 
-    Row ``vi`` describes vertex tile ``vi`` (``T_V`` lanes in lock step);
-    column ``ni`` the tile's ``ni``-th neighbor step:
+    Row ``vi`` describes vertex tile ``vi`` of the run (``T_V`` lanes in
+    lock step); column ``ni`` the tile's ``ni``-th neighbor step:
 
     - ``active[vi, ni]``: lanes still working (``ceil(deg/T_N) > ni``);
     - ``edges[vi, ni]``: real edges consumed across those lanes
@@ -130,23 +131,15 @@ class StepGrids:
     def n_vtiles(self) -> int:
         return int(self.tile_steps.size)
 
-    def nbytes(self) -> int:
-        return int(
-            self.active.nbytes
-            + self.edges.nbytes
-            + self.completing.nbytes
-            + self.tile_steps.nbytes
-        )
-
 
 @dataclass(frozen=True)
 class StepGridChunk:
-    """One vtile-row slab of a :class:`StepGrids`, as yielded by
+    """One vtile-row slab of the step grids, as yielded by
     :meth:`TileStats.step_grid_chunks`.
 
     ``grids`` covers vertex tiles ``[row_lo, row_hi)`` with a chunk-local
     ``max_nsteps`` (the max over the slab's tiles), so a consumer masking
-    by ``grids.tile_steps`` sees exactly the dense grid's populations.
+    by ``grids.tile_steps`` sees exactly the whole graph's populations.
     """
 
     row_lo: int
@@ -161,9 +154,10 @@ def _scatter_grids(
 
     ``deg``/``s`` are the run's per-vertex degrees and neighbor-step
     counts; the run's first vertex is lane 0 of tile row 0 (callers slice
-    on tile boundaries), and ``tile_steps`` its lock-step maxima.  Shared
-    by the dense build and the chunked stream so both produce identical
-    populations by construction.
+    on tile boundaries), and ``tile_steps`` its lock-step maxima.  A lane
+    is active on ``[0, steps)``, completes at ``steps - 1``, and consumes
+    ``t_n`` edges per step except the remainder ``deg - (steps - 1) * t_n``
+    on its last one.
     """
     num_v = int(deg.size)
     n_vtiles = int(tile_steps.size)
@@ -206,15 +200,17 @@ class TileStats:
     - ``spill_units(t_n)`` / ``accum_units(t_n)``: summed psum-revisit and
       accumulation counts (the tile engine's per-feature multipliers);
     - ``vtile_steps(t_v, t_n)``: lock-step maxima per vertex tile;
-    - ``step_grids(t_v, t_n)``: the micro-simulator's :class:`StepGrids`;
-    - ``step_grid_chunks(t_v, t_n, chunk_rows)``: the same populations as
-      a stream of row slabs, never cached — the memory-bounded path.
+    - ``step_grid_chunks(t_v, t_n, chunk_rows)``: the micro-simulator's
+      :class:`StepGrids` populations as a stream of row slabs, never
+      cached.
 
     One instance is safe to share across candidates, dataflows, feature
     widths, and hardware points of the same graph.  With a ``byte_budget``
     (default: the ``REPRO_TILESTATS_BUDGET`` environment variable) cached
     arrays are LRU-evicted once the accounted total exceeds the budget;
-    ``nbytes()``/``peak_nbytes``/``evictions`` expose the accounting.
+    ``nbytes()``/``peak_nbytes``/``evictions`` expose the accounting, and
+    ``streamed_chunk_passes`` counts the blocks (slabs or bands) the
+    micro-simulator has streamed.
     """
 
     def __init__(self, graph: CSRGraph, byte_budget: int | None = None) -> None:
@@ -226,14 +222,12 @@ class TileStats:
         self.misses = 0
         self.evictions = 0
         self.peak_nbytes = 0  # monotone: high-water mark of accounted bytes
-        self.dense_grid_builds = 0
         self.streamed_chunk_passes = 0
         self._total_nbytes = 0
         self._lru: OrderedDict[tuple, int] = OrderedDict()
         self._per_v_steps: dict[int, np.ndarray] = {}
         self._unit_sums: dict[int, tuple[int, int]] = {}
         self._vtile_steps: dict[tuple[int, int], np.ndarray] = {}
-        self._grids: dict[tuple[int, int], StepGrids] = {}
 
     # -- bookkeeping ----------------------------------------------------
     def _tally(self, present: bool) -> None:
@@ -280,8 +274,6 @@ class TileStats:
             self._per_v_steps.pop(key[1], None)
         elif kind == "vts":
             self._vtile_steps.pop(key[1:], None)
-        elif kind == "grid":
-            self._grids.pop(key[1:], None)
 
     @property
     def zero_degree_rows(self) -> int:
@@ -350,64 +342,22 @@ class TileStats:
         return out
 
     # -- micro-simulator grids ------------------------------------------
-    def grid_nbytes(self, t_v: int, t_n: int) -> int:
-        """Predicted dense :meth:`step_grids` footprint for this tiling,
-        without building it — three ``(n_vtiles, max_nsteps)`` int64
-        arrays plus the ``(n_vtiles,)`` lock-step maxima.  Matches
-        :meth:`StepGrids.nbytes` exactly; the engines consult this against
-        ``byte_budget`` to pick the streamed path before any allocation
-        happens."""
-        s = self.per_v_steps(t_n)
-        num_v = self.graph.num_vertices
-        n_vtiles = -(-num_v // t_v) if num_v else 0
-        max_nsteps = int(s.max()) if s.size else 0
-        return 8 * n_vtiles * (3 * max_nsteps + 1)
-
-    def step_grids(self, t_v: int, t_n: int) -> StepGrids:
-        """Dense per-(vtile, nstep) populations; see :class:`StepGrids`.
-
-        Built by scatter-adding each vertex's contribution into its tile
-        row — a lane is active on ``[0, steps)``, completes at
-        ``steps - 1``, and consumes ``t_n`` edges per step except the
-        remainder ``deg - (steps - 1) * t_n`` on its last one.
-        """
-        key = (t_v, t_n)
-        out = self._grids.get(key)
-        self._tally(out is not None)
-        if out is None:
-            s = self.per_v_steps(t_n)
-            tile_steps = self.vtile_steps(t_v, t_n)
-            out = _scatter_grids(self.graph.degrees, s, t_v, t_n, tile_steps)
-            for arr in (out.active, out.edges, out.completing):
-                arr.setflags(write=False)  # shared across candidates
-            self._grids[key] = out
-            self.dense_grid_builds += 1
-            grid_bytes = (
-                out.active.nbytes + out.edges.nbytes + out.completing.nbytes
-            )
-            self._account(("grid", t_v, t_n), int(grid_bytes))
-        else:
-            self._touch(("grid", t_v, t_n))
-        return out
-
     def step_grid_chunks(
         self, t_v: int, t_n: int, chunk_rows: int
     ) -> Iterator[StepGridChunk]:
-        """The :meth:`step_grids` populations as a stream of vtile-row
-        slabs of at most ``chunk_rows`` rows each (:class:`StepGridChunk`).
+        """The per-(vtile, nstep) populations of the whole graph as a
+        stream of vtile-row slabs of at most ``chunk_rows`` rows each
+        (:class:`StepGridChunk`).
 
         Chunks are built on the fly from the O(V) per-vertex entries and
         never cached, so peak memory is ``O(chunk_rows x slab max_nsteps)``
-        regardless of graph size — the memory-bounded alternative the
-        streamed micro-simulator consumes.  Masking each slab by its
-        ``tile_steps`` yields cell populations identical to the dense
-        grid's (both paths share :func:`_scatter_grids`).
+        regardless of graph size.  Each yielded slab bumps
+        ``streamed_chunk_passes``.
         """
         if chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         s = self.per_v_steps(t_n)
         tile_steps = self.vtile_steps(t_v, t_n)
-        self.streamed_chunk_passes += 1
         return self._iter_chunks(s, tile_steps, t_v, t_n, chunk_rows)
 
     def _iter_chunks(
@@ -432,6 +382,7 @@ class TileStats:
                 t_n,
                 tile_steps[row_lo:row_hi],
             )
+            self.streamed_chunk_passes += 1
             yield StepGridChunk(row_lo=row_lo, row_hi=row_hi, grids=grids)
 
 
@@ -475,7 +426,6 @@ class TileStatsRegistry:
             "nbytes": sum(c.nbytes() for c in caches),
             "peak_nbytes": sum(c.peak_nbytes for c in caches),
             "evictions": sum(c.evictions for c in caches),
-            "dense_grid_builds": sum(c.dense_grid_builds for c in caches),
             "streamed_chunk_passes": sum(
                 c.streamed_chunk_passes for c in caches
             ),

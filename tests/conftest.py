@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,18 @@ from repro.graphs.generators import (
     hub_thread_graph,
     molecular_graph,
 )
+
+
+@pytest.fixture(autouse=True)
+def _default_sigterm() -> None:
+    """Run every test with the default SIGTERM disposition.
+
+    ``perfbench/tests`` drive ``run.main`` in this process, and it installs
+    a ``sys.exit`` SIGTERM handler that outlives the test.  Pool workers
+    forked under that handler can survive ``Pool.terminate()``, which then
+    waits on them forever.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 @pytest.fixture

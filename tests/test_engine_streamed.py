@@ -1,14 +1,15 @@
-"""Equivalence suite: chunk-streamed engines vs the dense-grid engines.
+"""Chunk-streaming suite: the vectorized engine under any block size.
 
-The memory-bounded path (``step_grid_chunks`` slabs + streamed SpMM/GEMM
-micro-simulations) must produce *identical* ``CycleReport``\\ s to the
-dense vectorized engines — cycles, steps, traffic dictionaries, and fill,
-exactly — across random CSR graphs (including hub rows and zero-degree
-rows), every loop order, and chunk sizes of 1, a prime, and
-larger-than-total.  Also covers the ``TileStats`` byte-budget LRU
-(eviction accounting, the ``grid_nbytes`` predictor, counter
-monotonicity) and the dispatch rules (``REPRO_STREAM_ENGINE=1`` and
-budget-exceeded both select the streamed path without changing results).
+``cycle_accurate_spmm``/``cycle_accurate_gemm`` stream the loop nest in
+blocks sized by the ``TileStats`` byte budget.  With blocks forced to
+their minimum — one vertex-tile row per slab, one neighbor-step column
+per band, one GEMM step per chunk — they must still produce *identical*
+``CycleReport``\\ s to the interpreted reference — cycles, steps, traffic
+dictionaries, and fill, exactly — across random CSR graphs (including
+hub rows and zero-degree rows), every loop order, and GEMM chunk sizes
+of 1, a prime, and larger-than-total.  Also covers the step-grid slab
+stream against one whole-graph build, and the ``TileStats`` byte-budget
+LRU (eviction accounting, counter monotonicity).
 """
 
 from __future__ import annotations
@@ -20,22 +21,37 @@ import pytest
 
 from repro.arch.config import AcceleratorConfig
 from repro.core.taxonomy import Annot, Dim, IntraDataflow, Phase
+from repro.engine import cycle_model
 from repro.engine.cycle_model import (
     _cycle_accurate_gemm_streamed,
-    _cycle_accurate_gemm_vectorized,
-    _cycle_accurate_spmm_streamed,
-    _cycle_accurate_spmm_vectorized,
+    cycle_accurate_gemm,
+    cycle_accurate_gemm_reference,
     cycle_accurate_spmm,
+    cycle_accurate_spmm_reference,
 )
 from repro.engine.gemm import GemmSpec, GemmTiling
 from repro.engine.spmm import SpmmSpec, SpmmTiling
-from repro.engine.tilestats import TileStats
+from repro.engine.tilestats import TileStats, _scatter_grids
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import erdos_renyi_graph, hub_thread_graph
 
 SPMM_ORDERS = list(itertools.permutations((Dim.V, Dim.F, Dim.N)))
 GEMM_ORDERS = list(itertools.permutations((Dim.V, Dim.F, Dim.G)))
 BWS = [(16, 16), (3, 5), (7, 12), (64, 64)]
+
+
+@pytest.fixture(autouse=True)
+def _vectorized_engine(monkeypatch):
+    """Compare the vectorized engine, also when the suite runs under
+    ``REPRO_REFERENCE_ENGINE=1``."""
+    monkeypatch.delenv("REPRO_REFERENCE_ENGINE", raising=False)
+
+
+@pytest.fixture
+def minimal_blocks(monkeypatch):
+    """Shrink SpMM slabs to one vertex-tile row and bands to one
+    neighbor-step column, whatever the graph."""
+    monkeypatch.setattr(cycle_model, "_stream_block_bytes", lambda stats: 1)
 
 
 def _annot(order, tiles_by_dim):
@@ -55,10 +71,20 @@ def _report_tuple(rep):
     )
 
 
-def _assert_identical(dense, streamed, context):
-    assert _report_tuple(dense) == _report_tuple(streamed), (
-        f"{context}\n dense={dense}\n streamed={streamed}"
+def _assert_identical(ref, streamed, context):
+    assert _report_tuple(ref) == _report_tuple(streamed), (
+        f"{context}\n ref={ref}\n streamed={streamed}"
     )
+
+
+def _minimal_block_count(stats, order, t_v, t_n, n_ftiles):
+    """Blocks streamed at one row per slab / one column per band."""
+    pos = {d: order.index(d) for d in order}
+    f_passes = n_ftiles if pos[Dim.F] == 0 else 1
+    if pos[Dim.V] < pos[Dim.N]:
+        return f_passes * int(stats.vtile_steps(t_v, t_n).size)
+    s = stats.per_v_steps(t_n)
+    return f_passes * (int(s.max()) if s.size else 0)
 
 
 def _random_graph(rng: np.random.Generator) -> CSRGraph:
@@ -86,14 +112,20 @@ def _random_graph(rng: np.random.Generator) -> CSRGraph:
 class TestStepGridChunks:
     @pytest.mark.parametrize("seed", range(6))
     def test_chunks_reassemble_dense_grids(self, seed):
-        """Concatenated slabs must equal the dense grids cell for cell,
-        for chunk sizes 1, a prime, and larger than the vtile count."""
+        """Concatenated slabs must equal one whole-graph build cell for
+        cell, for chunk sizes 1, a prime, and larger than the vtile count."""
         rng = np.random.default_rng(700 + seed)
         g = _random_graph(rng)
         stats = TileStats(g)
         t_v = int(rng.integers(1, 8))
         t_n = int(rng.integers(1, 5))
-        dense = stats.step_grids(t_v, t_n)
+        dense = _scatter_grids(
+            g.degrees,
+            stats.per_v_steps(t_n),
+            t_v,
+            t_n,
+            stats.vtile_steps(t_v, t_n),
+        )
         n_vtiles = int(dense.tile_steps.size)
         for chunk_rows in (1, 7, n_vtiles + 13):
             rows_seen = 0
@@ -124,15 +156,15 @@ class TestStepGridChunks:
         list(stats.step_grid_chunks(4, 2, 3))
         before = stats.nbytes()
         passes_before = stats.streamed_chunk_passes
-        list(stats.step_grid_chunks(4, 2, 3))
+        chunks = list(stats.step_grid_chunks(4, 2, 3))
         assert stats.nbytes() == before  # only the O(V) helpers are held
-        assert stats.streamed_chunk_passes == passes_before + 1
-        assert stats.dense_grid_builds == 0
+        assert len(chunks) == 3  # 8 vertex tiles in slabs of 3 rows
+        assert stats.streamed_chunk_passes == passes_before + len(chunks)
 
 
 class TestSpmmStreamedEquivalence:
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_graphs_exact(self, seed):
+    def test_random_graphs_exact(self, seed, minimal_blocks):
         rng = np.random.default_rng(5000 + seed)
         for _ in range(6):
             g = _random_graph(rng)
@@ -156,14 +188,12 @@ class TestSpmmStreamedEquivalence:
                 order,
                 _annot(order, {Dim.V: tv, Dim.F: tf, Dim.N: tn}),
             )
-            dense = _cycle_accurate_spmm_vectorized(
-                spec, intra, tiles, hw, TileStats(g)
-            )
-            streamed = _cycle_accurate_spmm_streamed(
-                spec, intra, tiles, hw, TileStats(g)
+            ref = cycle_accurate_spmm_reference(spec, intra, tiles, hw)
+            streamed = cycle_accurate_spmm(
+                spec, intra, tiles, hw, stats=TileStats(g, byte_budget=1)
             )
             _assert_identical(
-                dense, streamed,
+                ref, streamed,
                 f"g=V{g.num_vertices}/E{g.num_edges} {intra} {tiles} "
                 f"bw=({bwd},{bwr})",
             )
@@ -171,9 +201,9 @@ class TestSpmmStreamedEquivalence:
     @pytest.mark.parametrize(
         "order", SPMM_ORDERS, ids=lambda o: "".join(d.value for d in o)
     )
-    def test_tiny_budget_forces_single_row_chunks(self, order):
-        """A floor-sized budget shrinks the slabs/bands to their minimum
-        without changing a single number."""
+    def test_tiny_budget_forces_single_row_chunks(self, order, minimal_blocks):
+        """Slabs of one vertex-tile row and bands of one neighbor-step
+        column leave every number unchanged."""
         rng = np.random.default_rng(41)
         g = hub_thread_graph(rng, 40, 220, num_hubs=2)
         spec = SpmmSpec(graph=g, feat=6)
@@ -183,16 +213,15 @@ class TestSpmmStreamedEquivalence:
             Phase.AGGREGATION, order,
             _annot(order, {Dim.V: 3, Dim.F: 2, Dim.N: 2}),
         )
-        dense = _cycle_accurate_spmm_vectorized(
-            spec, intra, tiles, hw, TileStats(g)
-        )
+        ref = cycle_accurate_spmm_reference(spec, intra, tiles, hw)
         tight = TileStats(g, byte_budget=1)
-        streamed = _cycle_accurate_spmm_streamed(spec, intra, tiles, hw, tight)
-        _assert_identical(dense, streamed, f"{intra} tight budget")
-        assert tight.dense_grid_builds == 0
-        assert tight.streamed_chunk_passes > 0 or g.num_edges == 0
+        streamed = cycle_accurate_spmm(spec, intra, tiles, hw, stats=tight)
+        _assert_identical(ref, streamed, f"{intra} tight budget")
+        assert tight.streamed_chunk_passes == _minimal_block_count(
+            tight, order, 3, 2, n_ftiles=3
+        ) > 1
 
-    def test_zero_degree_rows_exact(self):
+    def test_zero_degree_rows_exact(self, minimal_blocks):
         hw = AcceleratorConfig(num_pes=64, dist_bw=7, red_bw=12)
         g = CSRGraph(np.array([0, 0, 3, 3, 5, 5]), np.array([0, 1, 2, 0, 4]), 5)
         spec = SpmmSpec(graph=g, feat=4)
@@ -203,13 +232,11 @@ class TestSpmmStreamedEquivalence:
                     Phase.AGGREGATION, order,
                     _annot(order, {Dim.V: tv, Dim.F: tf, Dim.N: tn}),
                 )
-                dense = _cycle_accurate_spmm_vectorized(
-                    spec, intra, tiles, hw, TileStats(g)
+                ref = cycle_accurate_spmm_reference(spec, intra, tiles, hw)
+                streamed = cycle_accurate_spmm(
+                    spec, intra, tiles, hw, stats=TileStats(g)
                 )
-                streamed = _cycle_accurate_spmm_streamed(
-                    spec, intra, tiles, hw, TileStats(g)
-                )
-                _assert_identical(dense, streamed, f"{intra} {tiles}")
+                _assert_identical(ref, streamed, f"{intra} {tiles}")
 
 
 class TestGemmStreamedEquivalence:
@@ -243,46 +270,39 @@ class TestGemmStreamedEquivalence:
                     order, {Dim.V: tiles.t_v, Dim.F: tiles.t_f, Dim.G: tiles.t_g}
                 ),
             )
-            dense = _cycle_accurate_gemm_vectorized(spec, intra, tiles, hw)
+            ref = cycle_accurate_gemm_reference(spec, intra, tiles, hw)
             for chunk in (1, 13, 1 << 20):
                 streamed = _cycle_accurate_gemm_streamed(
                     spec, intra, tiles, hw, chunk_steps=chunk
                 )
                 _assert_identical(
-                    dense, streamed,
+                    ref, streamed,
                     f"{spec.rows}x{spec.inner}x{spec.cols} {intra} {tiles} "
                     f"chunk={chunk}",
                 )
 
 
 class TestByteBudgetLRU:
-    def test_grid_nbytes_predicts_actual_footprint(self):
-        rng = np.random.default_rng(21)
-        g = hub_thread_graph(rng, 48, 300, num_hubs=2)
-        stats = TileStats(g)
-        for t_v, t_n in [(1, 1), (4, 2), (7, 3)]:
-            predicted = stats.grid_nbytes(t_v, t_n)
-            assert stats.step_grids(t_v, t_n).nbytes() == predicted
-
     def test_budget_evicts_lru_and_counts(self):
         rng = np.random.default_rng(22)
         g = erdos_renyi_graph(rng, 60, 400)
         probe = TileStats(g)
-        one_grid = probe.step_grids(4, 1).nbytes()
-        # Room for roughly two dense grids: the third build must evict.
-        stats = TileStats(g, byte_budget=int(2.5 * one_grid))
+        one_entry = int(probe.vtile_steps(4, 1).nbytes)
+        per_vertex = int(probe.per_v_steps(1).nbytes)
+        # Room for the per-vertex entry plus roughly two per-tile entries:
+        # the third per-tile entry must evict.
+        stats = TileStats(g, byte_budget=per_vertex + int(2.5 * one_entry))
         for t_v in (4, 5, 6, 7):
-            stats.step_grids(t_v, 1)
+            stats.vtile_steps(t_v, 1)
             assert stats.nbytes() <= stats.byte_budget
         assert stats.evictions > 0
         # Peak records the honest pre-eviction high-water mark: at most
         # the budget plus the entry whose admission triggered eviction.
-        assert stats.peak_nbytes <= stats.byte_budget + one_grid
-        assert stats.dense_grid_builds == 4
+        assert stats.peak_nbytes <= stats.byte_budget + one_entry
         # An evicted entry is rebuilt on demand (miss, not an error).
-        builds = stats.dense_grid_builds
-        stats.step_grids(4, 1)
-        assert stats.dense_grid_builds == builds + 1
+        misses = stats.misses
+        stats.vtile_steps(4, 1)
+        assert stats.misses > misses
 
     def test_oversized_protected_entry_overshoots_honestly(self):
         """A single entry larger than the whole budget is kept (evicting
@@ -291,9 +311,10 @@ class TestByteBudgetLRU:
         rng = np.random.default_rng(23)
         g = erdos_renyi_graph(rng, 40, 200)
         stats = TileStats(g, byte_budget=8)
-        grids = stats.step_grids(3, 1)
-        assert grids.nbytes() > stats.byte_budget
-        assert stats.peak_nbytes >= grids.nbytes()
+        steps = stats.per_v_steps(1)
+        assert steps.nbytes > stats.byte_budget
+        assert stats.peak_nbytes >= steps.nbytes
+        assert stats.per_v_steps(1) is steps  # still cached: no rebuild
 
     def test_unbudgeted_cache_never_evicts(self, monkeypatch):
         monkeypatch.delenv("REPRO_TILESTATS_BUDGET", raising=False)
@@ -301,7 +322,7 @@ class TestByteBudgetLRU:
         g = erdos_renyi_graph(rng, 30, 150)
         stats = TileStats(g)
         for t_v in range(1, 8):
-            stats.step_grids(t_v, 2)
+            stats.vtile_steps(t_v, 2)
         assert stats.evictions == 0
         assert stats.peak_nbytes == stats.nbytes()
 
@@ -318,49 +339,32 @@ class TestByteBudgetLRU:
 
 
 class TestStreamedDispatch:
-    def test_env_flag_forces_streamed(self, monkeypatch):
-        # Dispatch under test: neutralize any outer engine-mode flags.
-        monkeypatch.delenv("REPRO_REFERENCE_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_STREAM_ENGINE", raising=False)
-        rng = np.random.default_rng(31)
-        g = hub_thread_graph(rng, 30, 120, num_hubs=1)
-        spec = SpmmSpec(graph=g, feat=8)
-        intra = IntraDataflow.parse("VsFtNt", Phase.AGGREGATION)
-        tiles = SpmmTiling(4, 1, 2)
-        hw = AcceleratorConfig(num_pes=128, dist_bw=16, red_bw=16)
-        dense_stats = TileStats(g)
-        dense = cycle_accurate_spmm(spec, intra, tiles, hw, stats=dense_stats)
-        assert dense_stats.dense_grid_builds == 1
-        monkeypatch.setenv("REPRO_STREAM_ENGINE", "1")
-        stream_stats = TileStats(g)
-        streamed = cycle_accurate_spmm(
-            spec, intra, tiles, hw, stats=stream_stats
-        )
-        _assert_identical(dense, streamed, "forced streaming")
-        assert stream_stats.dense_grid_builds == 0
-        assert stream_stats.streamed_chunk_passes > 0
-
-    def test_budget_overflow_selects_streamed(self, monkeypatch):
-        """Without the env flag, a dense grid bigger than the budget picks
-        the streamed engine automatically."""
-        monkeypatch.delenv("REPRO_REFERENCE_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_STREAM_ENGINE", raising=False)
+    def test_budget_sizes_blocks_not_results(self):
+        """The public entry points stream one block when the nest fits,
+        more under a tight budget, and the same report either way."""
         rng = np.random.default_rng(32)
-        g = hub_thread_graph(rng, 40, 200, num_hubs=2)
+        g = hub_thread_graph(rng, 400, 4000, num_hubs=2)
         spec = SpmmSpec(graph=g, feat=8)
         intra = IntraDataflow.parse("VsFtNt", Phase.AGGREGATION)
         tiles = SpmmTiling(4, 1, 1)
         hw = AcceleratorConfig(num_pes=128, dist_bw=16, red_bw=16)
-        dense = cycle_accurate_spmm(spec, intra, tiles, hw, stats=TileStats(g))
-        tight = TileStats(g, byte_budget=64)
-        assert tight.grid_nbytes(4, 1) > tight.byte_budget
-        streamed = cycle_accurate_spmm(spec, intra, tiles, hw, stats=tight)
-        _assert_identical(dense, streamed, "budget overflow")
-        assert tight.dense_grid_builds == 0
-        # A budget comfortably above the dense grid keeps the dense path.
         roomy = TileStats(g, byte_budget=1 << 30)
-        cycle_accurate_spmm(spec, intra, tiles, hw, stats=roomy)
-        assert roomy.dense_grid_builds == 1
+        whole = cycle_accurate_spmm(spec, intra, tiles, hw, stats=roomy)
+        assert roomy.streamed_chunk_passes == 1
+        tight = TileStats(g, byte_budget=1)
+        chunked = cycle_accurate_spmm(spec, intra, tiles, hw, stats=tight)
+        assert tight.streamed_chunk_passes > 1
+        _assert_identical(whole, chunked, "budgeted SpMM")
+
+        gspec = GemmSpec(rows=37, inner=11, cols=9)
+        gintra = IntraDataflow.parse("VsGsFt", Phase.COMBINATION)
+        gtiles = GemmTiling(2, 1, 2)
+        gref = cycle_accurate_gemm_reference(gspec, gintra, gtiles, hw)
+        for budget in (None, 1, 8 * 12 * 7):  # one chunk, 1 step, 7 steps
+            got = cycle_accurate_gemm(
+                gspec, gintra, gtiles, hw, stats=TileStats(g, byte_budget=budget)
+            )
+            _assert_identical(gref, got, f"budgeted GEMM {budget}")
 
     def test_per_v_steps_integer_ceil(self):
         """The hottest stats kernel must match ceil-division exactly for

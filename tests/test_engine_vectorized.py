@@ -1,15 +1,18 @@
-"""Equivalence suite: vectorized engines vs the interpreted reference.
+"""Equivalence suite: the vectorized engine vs the interpreted reference.
 
-The vectorized micro-simulator (numpy index grids + ``TileStats`` sparsity
-cache + cumulative-max pipeline) must produce *identical*
-:class:`~repro.engine.cycle_model.CycleReport`\\ s to the original
-interpreted loops — cycles, steps, traffic dictionaries, load stalls, and
-fill, exactly, across random CSR graphs, tilings, loop orders, bandwidth
-points (including non-powers-of-two), and the zero-degree-row edge case.
+``cycle_accurate_spmm``/``cycle_accurate_gemm`` (chunk-streamed numpy
+blocks + ``TileStats`` sparsity cache + max-plus pipeline scan) must
+produce *identical* :class:`~repro.engine.cycle_model.CycleReport`\\ s to
+the interpreted loops — cycles, steps, traffic dictionaries, load stalls,
+and fill, exactly, across random CSR graphs, tilings, loop orders,
+bandwidth points (including non-powers-of-two), and the zero-degree-row
+edge case.  ``tests/test_engine_streamed.py`` repeats the comparison
+under block sizes forced to their minimum.
 
 Also covers the ``REPRO_REFERENCE_ENGINE`` escape hatch, the
 ``TileStats`` hit counters (the second candidate of a session must reuse
-the first one's sparsity scans), and the registry's cross-context sharing.
+the first one's sparsity scans), the registry's cross-context sharing,
+and the chunked pipeline scan against the scalar recurrence.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import pytest
 from repro.arch.config import AcceleratorConfig
 from repro.core.taxonomy import Annot, Dim, IntraDataflow, Phase
 from repro.engine.cycle_model import (
-    _cycle_accurate_gemm_vectorized,
-    _cycle_accurate_spmm_vectorized,
+    _pipeline,
+    _PipelineScan,
     cycle_accurate_gemm,
     cycle_accurate_gemm_reference,
     cycle_accurate_spmm,
@@ -42,6 +45,14 @@ GEMM_ORDERS = list(itertools.permutations((Dim.V, Dim.F, Dim.G)))
 # pipeline's cumulative-max recurrence must agree even when per-step
 # divisions are inexact in floating point.
 BWS = [(16, 16), (3, 5), (7, 12), (2, 2), (64, 64)]
+
+
+@pytest.fixture(autouse=True)
+def _vectorized_engine(monkeypatch):
+    """Compare the vectorized engine, also when the suite runs under
+    ``REPRO_REFERENCE_ENGINE=1``; the dispatch tests set the flag
+    themselves."""
+    monkeypatch.delenv("REPRO_REFERENCE_ENGINE", raising=False)
 
 
 def _annot(order, tiles_by_dim):
@@ -119,7 +130,7 @@ class TestSpmmEquivalence:
                 _annot(order, {Dim.V: tv, Dim.F: tf, Dim.N: tn}),
             )
             ref = cycle_accurate_spmm_reference(spec, intra, tiles, hw)
-            vec = _cycle_accurate_spmm_vectorized(spec, intra, tiles, hw, None)
+            vec = cycle_accurate_spmm(spec, intra, tiles, hw)
             _assert_identical(ref, vec, f"g=V{g.num_vertices}/E{g.num_edges} "
                                         f"{intra} {tiles} bw=({bwd},{bwr})")
 
@@ -137,7 +148,7 @@ class TestSpmmEquivalence:
                 _annot(order, {Dim.V: tv, Dim.F: tf, Dim.N: tn}),
             )
             ref = cycle_accurate_spmm_reference(spec, intra, tiles, hw)
-            vec = _cycle_accurate_spmm_vectorized(spec, intra, tiles, hw, None)
+            vec = cycle_accurate_spmm(spec, intra, tiles, hw)
             _assert_identical(ref, vec, f"{intra} {tiles}")
             assert vec.gb_writes["intermediate"] >= 3 * 4  # zero rows flushed
 
@@ -154,8 +165,8 @@ class TestSpmmEquivalence:
                 Phase.AGGREGATION, (Dim.V, Dim.N, Dim.F),
                 _annot((Dim.V, Dim.N, Dim.F), {Dim.V: tv, Dim.F: tf, Dim.N: tn}),
             )
-            cold = _cycle_accurate_spmm_vectorized(spec, intra, tiles, hw, None)
-            warm = _cycle_accurate_spmm_vectorized(spec, intra, tiles, hw, stats)
+            cold = cycle_accurate_spmm(spec, intra, tiles, hw)
+            warm = cycle_accurate_spmm(spec, intra, tiles, hw, stats=stats)
             _assert_identical(cold, warm, f"{tiles}")
         assert stats.hits > 0  # repeated tiling answered from the cache
 
@@ -170,9 +181,9 @@ class TestSpmmEquivalence:
         hw = AcceleratorConfig(num_pes=8)
         for other in (g2, g3):
             with pytest.raises(ValueError, match="different graph"):
-                # Called directly: the reference engine has no stats check.
-                _cycle_accurate_spmm_vectorized(
-                    spec, intra, SpmmTiling(1, 1, 1), hw, TileStats(other)
+                # The reference engine has no stats check; this one must.
+                cycle_accurate_spmm(
+                    spec, intra, SpmmTiling(1, 1, 1), hw, stats=TileStats(other)
                 )
             with pytest.raises(ValueError, match="different graph"):
                 simulate_spmm(
@@ -211,28 +222,11 @@ class TestGemmEquivalence:
                 _annot(order, {Dim.V: tv, Dim.F: tf, Dim.G: tg}),
             )
             ref = cycle_accurate_gemm_reference(spec, intra, tiles, hw)
-            vec = _cycle_accurate_gemm_vectorized(spec, intra, tiles, hw)
+            vec = cycle_accurate_gemm(spec, intra, tiles, hw)
             _assert_identical(
                 ref, vec, f"{spec.rows}x{spec.inner}x{spec.cols} {intra} "
                           f"{tiles} bw=({bwd},{bwr})"
             )
-
-    def test_geometry_cache_shared_across_hw_points(self):
-        """Two hardware points over the same nest reuse one geometry."""
-        from repro.engine.cycle_model import _gemm_geometry
-
-        spec = GemmSpec(rows=13, inner=9, cols=7)
-        order = (Dim.V, Dim.G, Dim.F)
-        intra = IntraDataflow(
-            Phase.COMBINATION, order, (Annot.SPATIAL,) * 2 + (Annot.TEMPORAL,)
-        )
-        tiles = GemmTiling(4, 1, 2)
-        _gemm_geometry.cache_clear()
-        for bw in (4, 8, 16):
-            hw = AcceleratorConfig(num_pes=64, dist_bw=bw, red_bw=bw)
-            _cycle_accurate_gemm_vectorized(spec, intra, tiles, hw)
-        info = _gemm_geometry.cache_info()
-        assert info.misses == 1 and info.hits == 2
 
 
 class TestEngineDispatch:
@@ -294,7 +288,8 @@ class TestTileStatsCache:
         assert stats.accum_units(2) == int(s.sum())
         vt = stats.vtile_steps(5, 2)
         assert vt.size == -(-g.num_vertices // 5)
-        grids = stats.step_grids(5, 2)
+        (chunk,) = stats.step_grid_chunks(5, 2, vt.size)  # one slab: all tiles
+        grids = chunk.grids
         assert np.array_equal(grids.tile_steps, vt)
         # Per-tile populations must sum back to global facts.
         assert int(grids.edges.sum()) == g.num_edges
@@ -389,25 +384,35 @@ class TestPoolContextShipping:
 
 
 class TestVectorizedPipelineEdgeCases:
-    def test_empty_sequences(self):
-        from repro.engine.cycle_model import _pipeline, _pipeline_arrays
+    """:class:`_PipelineScan` against the scalar :func:`_pipeline`: any
+    chunking of the same per-step series gives the same ``(cycles, fill)``."""
 
+    def test_empty_sequences(self):
         hw = AcceleratorConfig(num_pes=8, dist_bw=3, red_bw=5)
         assert _pipeline([], [], [], hw) == (0, 0)
-        z = np.zeros(0)
-        assert _pipeline_arrays(z, z, z, hw) == (0, 0)
+        assert _PipelineScan(hw).finish() == (0, 0)
+        scan = _PipelineScan(hw)
+        z = np.zeros(0, dtype=np.int64)
+        scan.feed(z, z, z)
+        assert scan.finish() == (0, 0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_streams_exact(self, seed):
-        from repro.engine.cycle_model import _pipeline, _pipeline_arrays
-
         rng = np.random.default_rng(4000 + seed)
         n = int(rng.integers(1, 200))
-        stream = rng.integers(0, 40, size=n).astype(np.float64)
-        drain = rng.integers(0, 40, size=n).astype(np.float64)
-        load = rng.integers(0, 4, size=n).astype(np.int64)
+        stream = rng.integers(0, 40, size=n)
+        drain = rng.integers(0, 40, size=n)
+        load = rng.integers(0, 4, size=n)
         bwd, bwr = BWS[int(rng.integers(0, len(BWS)))]
         hw = AcceleratorConfig(num_pes=64, dist_bw=bwd, red_bw=bwr)
         ref = _pipeline(list(stream), list(drain), list(load), hw)
-        vec = _pipeline_arrays(stream, drain, load, hw)
-        assert ref == vec
+        no_load = _pipeline(list(stream), list(drain), [0] * n, hw)
+        for chunk in (1, 7, n):
+            scan = _PipelineScan(hw)
+            unloaded = _PipelineScan(hw)
+            for lo in range(0, n, chunk):
+                hi = lo + chunk
+                scan.feed(stream[lo:hi], drain[lo:hi], load[lo:hi])
+                unloaded.feed(stream[lo:hi], drain[lo:hi])
+            assert scan.finish() == ref, f"chunk={chunk}"
+            assert unloaded.finish() == no_load, f"chunk={chunk}"

@@ -151,7 +151,10 @@ def test_serve_client(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
     finally:
-        asyncio.run_coroutine_threadsafe(server.stop(), loop)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10)
+        # Closing the server ends serve_forever; the loop then finishes
+        # run_until_complete by itself and the thread exits.
+        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(timeout=30)
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "server thread did not exit"
+        loop.close()
         service.close()
