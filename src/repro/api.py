@@ -21,9 +21,11 @@ Everything an external caller needs, behind stable typed signatures:
   degraded at the serving tier.
 
 ``sweep`` and ``search`` are one-shot campaigns under the hood — the
-spec-building that used to live in the CLI happens here, so library
-callers and ``repro sweep``/``repro search`` share one code path (the
-CLI now delegates to these functions).  Every failure raised on purpose
+spec-building happens here, so library callers and the CLI share one
+code path: ``repro run``, ``sweep``, ``search``, ``campaign run`` and
+``campaign shard-plan`` call these functions, and ``repro describe``
+resolves its dataflow through :func:`resolve_dataflow`, the resolver
+behind :func:`evaluate`.  Every failure raised on purpose
 anywhere below is a :class:`~repro.errors.ReproError` subclass, so
 ``except ReproError`` is the one catch-all an embedding application
 needs.
@@ -31,6 +33,7 @@ needs.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -102,14 +105,17 @@ def _resolve_workload(
         ) from exc
 
 
-def _resolve_dataflow(
+def resolve_dataflow(
     dataflow: "Dataflow | str",
     *,
     sp_optimized: bool = False,
     pe_split: float = 0.5,
 ) -> tuple[Dataflow, TileHint | None]:
     """A (dataflow, hint) pair from a :class:`Dataflow`, a Table V config
-    name (``"SP2"``), or taxonomy notation (``"PP_AC(VtFsNt, VsGsFt)"``)."""
+    name (``"SP2"``), or taxonomy notation (``"PP_AC(VtFsNt, VsGsFt)"``).
+
+    The resolver behind :func:`evaluate` and ``repro describe``; bad
+    notation raises :class:`~repro.errors.ApiUsageError`."""
     if isinstance(dataflow, Dataflow):
         return dataflow, None
     if dataflow in paper_config_names():
@@ -128,6 +134,17 @@ def _resolve_dataflow(
             f"{paper_config_names()} or taxonomy notation)"
         ) from exc
     return parsed, None
+
+
+def _coerce_spec(
+    spec: "CampaignSpec | Mapping[str, Any] | str | Path",
+) -> CampaignSpec:
+    """A :class:`CampaignSpec` from a spec, a spec-shaped mapping, or a file."""
+    if isinstance(spec, (str, Path)):
+        return CampaignSpec.load(spec)
+    if isinstance(spec, CampaignSpec):
+        return spec
+    return CampaignSpec.from_dict(spec)
 
 
 def _hardware_point(
@@ -167,7 +184,7 @@ def evaluate(
     :mod:`repro.core.partitioned`.
     """
     wl = _resolve_workload(workload, seed=seed)
-    df, config_hint = _resolve_dataflow(
+    df, config_hint = resolve_dataflow(
         dataflow, sp_optimized=sp_optimized, pe_split=pe_split
     )
     hw = _hardware_point(num_pes, bandwidth, gb_kib).config()
@@ -288,21 +305,16 @@ def run_campaign(
     :class:`~repro.campaign.runner.CampaignResumeError` — both
     :class:`~repro.errors.CampaignError` — on bad inputs.
     """
-    if isinstance(spec, (str, Path)):
-        spec = CampaignSpec.load(spec)
-    elif not isinstance(spec, CampaignSpec):
-        spec = CampaignSpec.from_dict(spec)
-    owns_store = store is not None and not isinstance(store, ResultStore)
-    if owns_store:
-        store = ResultStore(store, resume=resume)
-    owns_ckpt = checkpoint is not None and not isinstance(
-        checkpoint, CampaignCheckpoint
-    )
-    if owns_ckpt:
-        checkpoint = CampaignCheckpoint(
-            checkpoint, spec.fingerprint(), resume=resume
-        )
-    try:
+    spec = _coerce_spec(spec)
+    with ExitStack() as owned:
+        if store is not None and not isinstance(store, ResultStore):
+            store = owned.enter_context(ResultStore(store, resume=resume))
+        if checkpoint is not None and not isinstance(
+            checkpoint, CampaignCheckpoint
+        ):
+            checkpoint = owned.enter_context(
+                CampaignCheckpoint(checkpoint, spec.fingerprint(), resume=resume)
+            )
         return _run_campaign(
             spec,
             workers=workers,
@@ -312,11 +324,6 @@ def run_campaign(
             overlap=overlap,
             max_inflight=max_inflight,
         )
-    finally:
-        if owns_ckpt:
-            checkpoint.close()
-        if owns_store:
-            store.close()
 
 
 def shard_plan(
@@ -334,11 +341,7 @@ def shard_plan(
     :class:`~repro.distributed.shardplan.ShardPlanError` (a
     :class:`~repro.errors.CampaignError`) on bad inputs.
     """
-    if isinstance(spec, (str, Path)):
-        spec = CampaignSpec.load(spec)
-    elif not isinstance(spec, CampaignSpec):
-        spec = CampaignSpec.from_dict(spec)
-    return plan_shards(spec, shards, policy)
+    return plan_shards(_coerce_spec(spec), shards, policy)
 
 
 def dist_run(

@@ -26,10 +26,16 @@ service, layered as ``spec -> session -> report``:
   while checkpoint lines and report rows stay byte-identical to the
   sequential path.
 
+- :func:`~repro.campaign.artifacts.campaign_paths` (``artifacts.py``)
+  is the one rule naming a campaign's store and checkpoint, and
+  :func:`~repro.campaign.artifacts.assemble_report` rebuilds a report
+  from journaled units (``campaign report``, the distributed merge).
+
 The CLI front-end is ``repro campaign run|status|report --spec FILE``;
 ``repro sweep`` and ``repro search`` delegate to one-shot specs.
 """
 
+from .artifacts import assemble_report, campaign_paths, report_from_checkpoint
 from .report import CampaignReport, UnitResult
 from .runner import (
     CampaignCheckpoint,
@@ -48,6 +54,9 @@ from .spec import (
 )
 
 __all__ = [
+    "assemble_report",
+    "campaign_paths",
+    "report_from_checkpoint",
     "CampaignReport",
     "UnitResult",
     "CampaignCheckpoint",

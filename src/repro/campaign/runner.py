@@ -97,21 +97,17 @@ class CampaignCheckpoint:
                         f"{spec_fingerprint!r}; pass --no-resume to restart"
                     )
                 self.done = units
-                sidecar = self.load_counters(self.stats_path)
-                if sidecar.get("spec_fingerprint") == spec_fingerprint:
-                    # Keep snapshots only for units the checkpoint still
-                    # vouches for (a torn tail may have dropped one) —
-                    # and push the pruning to disk, so a concurrent
-                    # read-only `campaign status` never serves snapshots
-                    # for units the journal no longer records.
-                    loaded = sidecar.get("units", {})
-                    self.unit_counters = {
-                        key: snap
-                        for key, snap in loaded.items()
-                        if key in self.done
-                    }
-                    if set(self.unit_counters) != set(loaded):
-                        self._write_counters()
+                # Keep snapshots only for units the checkpoint still
+                # vouches for (a torn tail may have dropped one) — and
+                # push the pruning to disk, so a concurrent read-only
+                # `campaign status` never serves snapshots for units the
+                # journal no longer records.
+                loaded = self.unit_counters_for(self.path, spec_fingerprint)
+                self.unit_counters = {
+                    key: snap for key, snap in loaded.items() if key in self.done
+                }
+                if set(self.unit_counters) != set(loaded):
+                    self._write_counters()
             else:
                 # The campaign died while appending the header itself:
                 # nothing completed, so start the checkpoint over.
@@ -179,6 +175,17 @@ class CampaignCheckpoint:
         sidecar["units"] = units
         return sidecar
 
+    @classmethod
+    def unit_counters_for(
+        cls, path: str | Path, spec_fingerprint: str
+    ) -> dict[str, dict]:
+        """Per-unit counter deltas from the sidecar beside checkpoint
+        ``path``; ``{}`` when absent, unreadable, or bound to another spec."""
+        sidecar = cls.load_counters(cls.stats_path_for(path))
+        if sidecar.get("spec_fingerprint") != spec_fingerprint:
+            return {}
+        return sidecar["units"]
+
     def _write_counters(self) -> None:
         payload = {
             "spec_fingerprint": self.spec_fingerprint,
@@ -235,8 +242,12 @@ class CampaignCheckpoint:
     @classmethod
     def load(cls, path: str | Path) -> tuple[dict, dict[str, dict]]:
         """Read-only view (for ``campaign status`` / ``report``): never
-        modifies the file, even to heal a torn final line."""
-        return cls._read(Path(path), heal=False)
+        modifies the file, even to heal a torn final line.  ``({}, {})``
+        when no checkpoint exists at ``path``."""
+        path = Path(path)
+        if not path.exists():
+            return {}, {}
+        return cls._read(path, heal=False)
 
     # ------------------------------------------------------------------
     def _append(self, obj: dict) -> None:

@@ -160,8 +160,10 @@ class CampaignSpec:
     ``datasets`` x ``hardware`` is the unit grid; ``source`` supplies each
     unit's candidates; ``objective``/``budget``/``seed`` parameterize the
     search.  ``store``/``checkpoint`` optionally pin the campaign's
-    artifact paths (the CLI defaults them to ``runs/<name>[.checkpoint].jsonl``
-    and lets flags override).
+    artifact paths.  Explicit paths win over them; unset, the store is
+    ``runs/<name>.jsonl`` and the checkpoint is
+    ``<store stem>.checkpoint.jsonl`` beside the store
+    (:func:`~repro.campaign.artifacts.campaign_paths`).
     """
 
     name: str
@@ -340,17 +342,26 @@ class CampaignSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "CampaignSpec":
-        """Load a spec file — TOML by ``.toml`` suffix, JSON otherwise."""
-        p = Path(path)
-        if p.suffix.lower() == ".toml":
-            import tomllib
+        """Load a spec file — TOML by ``.toml`` suffix, JSON otherwise.
 
-            try:
-                data = tomllib.loads(p.read_text(encoding="utf-8"))
-            except tomllib.TOMLDecodeError as exc:
-                raise CampaignSpecError(f"{p}: invalid TOML: {exc}") from exc
-            return cls.from_dict(data)
-        return cls.from_json(p.read_text(encoding="utf-8"))
+        An unreadable file is a :class:`CampaignSpecError` too, and every
+        message names the file.
+        """
+        p = Path(path)
+        try:
+            text = p.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise CampaignSpecError(
+                f"cannot read campaign spec {p}: {exc.strerror or exc}"
+            ) from exc
+        import tomllib
+
+        try:
+            if p.suffix.lower() == ".toml":
+                return cls.from_dict(tomllib.loads(text))
+            return cls.from_json(text)
+        except (CampaignSpecError, tomllib.TOMLDecodeError) as exc:
+            raise CampaignSpecError(f"invalid campaign spec {p}: {exc}") from exc
 
     def save(self, path: str | Path) -> Path:
         p = Path(path)

@@ -32,6 +32,17 @@ merges the shard stores and checkpoints back into artifacts — and a
 report digest — byte-identical to a sequential run; ``store merge``
 exposes the fold-back on its own.
 
+Every ``campaign`` subcommand names its files by one rule
+(:func:`repro.campaign.campaign_paths`): the store is ``--out``, else the
+spec's ``store``, else ``runs/<name>.jsonl``; the checkpoint is
+``--checkpoint``, else the spec's ``checkpoint``, else
+``<store stem>.checkpoint.jsonl`` beside the store.
+
+This module is an argparse adapter: each subcommand calls the library
+function that does its job (:mod:`repro.api` where one exists) and
+renders the result.  Any :class:`~repro.errors.ReproError` ends the
+command with its message on stderr and exit status 1.
+
 Examples::
 
     python -m repro run --dataset citeseer --dataflow "PP_AC(VtFsNt, VsGsFt)"
@@ -56,6 +67,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from . import api
@@ -65,28 +77,20 @@ from .analysis.store import ResultStore
 from .campaign import (
     CampaignCheckpoint,
     CampaignSpec,
+    campaign_paths,
     campaign_units,
-    run_campaign,
+    report_from_checkpoint,
+    unit_key,
 )
 from .core.configs import paper_config_names, paper_dataflow
 from .core.enumeration import count_design_space
 from .core.evaluator import DataflowEvaluator
-from .core.omega import run_gnn_dataflow
-from .core.taxonomy import SPVariant, parse_dataflow
 from .core.workload import workload_from_dataset
+from .errors import ReproError
 from .graphs.datasets import dataset_names, load_dataset
 from .graphs.stats import graph_stats
 
 __all__ = ["main", "build_parser"]
-
-
-def _hw_from_args(args: argparse.Namespace) -> AcceleratorConfig:
-    return AcceleratorConfig(
-        num_pes=args.pes,
-        dist_bw=args.bandwidth,
-        red_bw=args.bandwidth,
-        gb_bytes=args.gb_kib * 1024 if args.gb_kib else None,
-    )
 
 
 def _add_hw_args(p: argparse.ArgumentParser) -> None:
@@ -124,6 +128,12 @@ def _add_service_args(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="truncate --out instead of resuming (skipping) persisted records",
     )
+
+
+def _add_spec_arg(
+    p: argparse.ArgumentParser, help: str = "campaign spec file (.json or .toml)"
+) -> None:
+    p.add_argument("--spec", required=True, metavar="FILE", help=help)
 
 
 def _make_store(args: argparse.Namespace) -> ResultStore | None:
@@ -201,18 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", "re-render a completed campaign from its checkpoint"),
     ):
         p_c = csub.add_parser(name, help=help_text)
-        p_c.add_argument(
-            "--spec", required=True, metavar="FILE",
-            help="campaign spec file (.json or .toml)",
-        )
+        _add_spec_arg(p_c)
         p_c.add_argument(
             "--out", default=None, metavar="JSONL",
             help="record store (default: spec's 'store', else runs/<name>.jsonl)",
         )
         p_c.add_argument(
             "--checkpoint", default=None, metavar="JSONL",
-            help="unit checkpoint (default: spec's 'checkpoint', "
-            "else runs/<name>.checkpoint.jsonl)",
+            help="unit checkpoint (default: spec's 'checkpoint', else "
+            "<store stem>.checkpoint.jsonl beside the store)",
         )
         p_c.add_argument("--json", action="store_true")
         if name == "run":
@@ -249,10 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "shard-plan",
         help="partition a campaign's unit grid into N fingerprinted shards",
     )
-    p_plan.add_argument(
-        "--spec", required=True, metavar="FILE",
-        help="campaign spec file (.json or .toml)",
-    )
+    _add_spec_arg(p_plan)
     p_plan.add_argument(
         "--shards", type=int, required=True, metavar="N",
         help="number of shard assignments to produce",
@@ -273,10 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one shard's assignment into its private store "
         "(the dist-run worker entry point; also usable by hand)",
     )
-    p_shard.add_argument(
-        "--spec", required=True, metavar="FILE",
-        help="the FULL parent campaign spec (never a sub-spec)",
-    )
+    _add_spec_arg(p_shard, "the FULL parent campaign spec (never a sub-spec)")
     p_shard.add_argument(
         "--plan", default=None, metavar="JSON",
         help="shard plan file (default: derive from --shards/--policy)",
@@ -331,10 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard a campaign over worker processes under a "
         "fault-tolerant coordinator, then merge byte-identical artifacts",
     )
-    p_dist.add_argument(
-        "--spec", required=True, metavar="FILE",
-        help="campaign spec file (.json or .toml)",
-    )
+    _add_spec_arg(p_dist)
     p_dist.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="shard worker processes (default 2)",
@@ -353,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument(
         "--checkpoint", default=None, metavar="JSONL",
         help="merged checkpoint (default: spec's 'checkpoint', else "
-        "derived from the merged store path)",
+        "<store stem>.checkpoint.jsonl beside the merged store)",
     )
     p_dist.add_argument(
         "--no-resume", action="store_true",
@@ -505,10 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "under each plan, assert byte-identical recovery, zero duplicate "
         "evaluations, and graceful serving degradation",
     )
-    p_fharness.add_argument(
-        "--spec", required=True, metavar="FILE",
-        help="campaign spec file (.json or .toml)",
-    )
+    _add_spec_arg(p_fharness)
     p_fharness.add_argument(
         "--plan", action="append", default=[], metavar="JSON",
         help="fault plan file to run (repeatable)",
@@ -621,8 +616,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         return 0
 
     # harness
-    from pathlib import Path
-
     from .faults.harness import run_harness
 
     plans = [FaultPlan.load(p) for p in args.plan]
@@ -632,7 +625,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         print("faults harness needs --plan, --scenario, or --random-plans",
               file=sys.stderr)
         return 2
-    spec = _load_spec(args)
+    spec = CampaignSpec.load(args.spec)
     out_dir = Path(args.out_dir) if args.out_dir else Path("runs") / (
         f"chaos-{spec.name}"
     )
@@ -652,18 +645,17 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    wl = workload_from_dataset(load_dataset(args.dataset, seed=args.seed))
-    hw = _hw_from_args(args)
-    if args.dataflow in paper_config_names():
-        df, hint = paper_dataflow(args.dataflow, pe_split=args.pe_split)
-    else:
-        df = parse_dataflow(
-            args.dataflow,
-            sp_variant=SPVariant.OPTIMIZED if args.sp_optimized else None,
-            pe_split=args.pe_split,
-        )
-        hint = None
-    res = run_gnn_dataflow(wl, df, hw, hint=hint)
+    res = api.evaluate(
+        args.dataset,
+        args.dataflow,
+        num_pes=args.pes,
+        bandwidth=args.bandwidth,
+        gb_kib=args.gb_kib,
+        sp_optimized=args.sp_optimized,
+        pe_split=args.pe_split,
+        seed=args.seed,
+    )
+    wl = res.workload
     payload = {
         **res.summary(),
         "agg_cycles": res.agg.cycles,
@@ -791,36 +783,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_paths(
-    spec: CampaignSpec, args: argparse.Namespace
-) -> tuple[str, str]:
-    store_path = args.out or spec.store or f"runs/{spec.name}.jsonl"
-    ckpt_path = (
-        args.checkpoint or spec.checkpoint or f"runs/{spec.name}.checkpoint.jsonl"
-    )
-    return store_path, ckpt_path
-
-
-def _load_spec(args: argparse.Namespace) -> CampaignSpec:
-    from .campaign import CampaignSpecError
-
-    try:
-        return CampaignSpec.load(args.spec)
-    except FileNotFoundError:
-        raise SystemExit(f"spec file not found: {args.spec}")
-    except CampaignSpecError as exc:
-        raise SystemExit(f"invalid campaign spec {args.spec}: {exc}")
-
-
 def _cmd_shard_plan(spec: CampaignSpec, args: argparse.Namespace) -> int:
-    from .distributed import plan_shards
-    from .errors import CampaignError
-
-    try:
-        plan = plan_shards(spec, args.shards, args.policy)
-    except CampaignError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    plan = api.shard_plan(spec, args.shards, policy=args.policy)
     if args.out:
         plan.save(args.out)
     if args.json:
@@ -842,34 +806,31 @@ def _cmd_shard_plan(spec: CampaignSpec, args: argparse.Namespace) -> int:
 
 
 def _cmd_shard_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
+    # A CampaignError reaches main() and exits 1: the coordinator's
+    # retries key on the worker's return code.
     from .distributed import ShardPlan, plan_shards, run_shard
-    from .errors import CampaignError
 
-    try:
-        if args.plan:
-            plan = ShardPlan.load(args.plan)
-        elif args.shards:
-            plan = plan_shards(spec, args.shards, args.policy)
-        else:
-            print("shard-run needs --plan FILE or --shards N", file=sys.stderr)
-            return 2
-        report, paths = run_shard(
-            spec,
-            plan,
-            args.shard_index,
-            workers=args.workers,
-            overlap=args.overlap,
-            max_inflight=args.max_inflight,
-            resume=not args.no_resume,
-            base_store=args.base_store,
-            attempt=args.attempt,
-            heartbeat_interval=args.heartbeat_interval,
-            fail_after_units=args.fail_after_units,
-            pause_after_units=args.pause_after_units,
-        )
-    except CampaignError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    if args.plan:
+        plan = ShardPlan.load(args.plan)
+    elif args.shards:
+        plan = plan_shards(spec, args.shards, args.policy)
+    else:
+        print("shard-run needs --plan FILE or --shards N", file=sys.stderr)
+        return 2
+    report, paths = run_shard(
+        spec,
+        plan,
+        args.shard_index,
+        workers=args.workers,
+        overlap=args.overlap,
+        max_inflight=args.max_inflight,
+        resume=not args.no_resume,
+        base_store=args.base_store,
+        attempt=args.attempt,
+        heartbeat_interval=args.heartbeat_interval,
+        fail_after_units=args.fail_after_units,
+        pause_after_units=args.pause_after_units,
+    )
     if args.json:
         print(
             json.dumps(
@@ -894,34 +855,27 @@ def _cmd_shard_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
 
 def _cmd_dist_run(args: argparse.Namespace) -> int:
     from .distributed import DistributedCoordinator
-    from .errors import CampaignError
 
     _activate_fault_plan(args)
-    try:
-        coordinator = DistributedCoordinator(
-            args.spec,
-            shards=args.workers,
-            policy=args.policy,
-            shard_workers=args.shard_workers,
-            overlap=args.overlap,
-            out=args.out,
-            checkpoint=args.checkpoint,
-            resume=not args.no_resume,
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_timeout=args.heartbeat_timeout,
-            max_retries=args.max_retries,
-            max_total_retries=args.max_total_retries,
-            backoff=args.backoff,
-            retry_jitter=args.retry_jitter,
-            kill_shard=args.kill_shard,
-            kill_after_units=args.kill_after_units,
-        )
-        result = coordinator.run()
-    except FileNotFoundError:
-        raise SystemExit(f"spec file not found: {args.spec}")
-    except CampaignError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    coordinator = DistributedCoordinator(
+        args.spec,
+        shards=args.workers,
+        policy=args.policy,
+        shard_workers=args.shard_workers,
+        overlap=args.overlap,
+        out=args.out,
+        checkpoint=args.checkpoint,
+        resume=not args.no_resume,
+        heartbeat_interval=args.heartbeat_interval,
+        heartbeat_timeout=args.heartbeat_timeout,
+        max_retries=args.max_retries,
+        max_total_retries=args.max_total_retries,
+        backoff=args.backoff,
+        retry_jitter=args.retry_jitter,
+        kill_shard=args.kill_shard,
+        kill_after_units=args.kill_after_units,
+    )
+    result = coordinator.run()
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
     else:
@@ -943,278 +897,194 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .campaign import (
-        CampaignReport,
-        CampaignResumeError,
-        UnitResult,
-        unit_key,
-    )
-
     if args.campaign_command == "dist-run":
         # The coordinator re-loads the spec itself (workers need the file).
         return _cmd_dist_run(args)
-    spec = _load_spec(args)
+    spec = CampaignSpec.load(args.spec)
     if args.campaign_command == "shard-plan":
         return _cmd_shard_plan(spec, args)
     if args.campaign_command == "shard-run":
         return _cmd_shard_run(spec, args)
-    store_path, ckpt_path = _campaign_paths(spec, args)
-
+    store_path, ckpt_path = campaign_paths(spec, args.out, args.checkpoint)
+    if args.campaign_command == "status":
+        return _campaign_status(spec, store_path, ckpt_path, as_json=args.json)
     if args.campaign_command == "run":
         _activate_fault_plan(args)
-        store = ResultStore(store_path, resume=not args.no_resume)
-        try:
-            checkpoint = CampaignCheckpoint(
-                ckpt_path, spec.fingerprint(), resume=not args.no_resume
-            )
-        except CampaignResumeError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        try:
-            report = run_campaign(
-                spec,
-                workers=args.workers,
-                store=store,
-                checkpoint=checkpoint,
-                overlap=args.overlap,
-                max_inflight=args.max_inflight,
-            )
-        finally:
-            checkpoint.close()
-            store.close()
-        print(json.dumps(report.to_dict(), indent=2) if args.json
-              else report.render())
-        return 0
-
-    from pathlib import Path
-
-    units_total = len(list(campaign_units(spec)))
-    ckpt_file = Path(ckpt_path)
-    header: dict = {}
-    done: dict = {}
-    if ckpt_file.exists():
-        try:
-            header, done = CampaignCheckpoint.load(ckpt_file)
-        except CampaignResumeError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-    matches = header.get("spec_fingerprint") == spec.fingerprint()
-
-    if args.campaign_command == "status":
-        # Read-only: counts come from the checkpoint plus the store's
-        # offset-index sidecar (falling back to one streaming parse when
-        # no index exists) — never from opening/healing the store, which
-        # a concurrently running campaign may own.  Cache-efficacy
-        # entries come from the checkpoint's stats sidecar (written at
-        # each unit mark; per-unit deltas, execution accounting — under
-        # the overlapped scheduler a delta charges whatever ran between
-        # two grid-order marks to the later unit).
-        from .campaign.report import hit_rate
-
-        peek = ResultStore.peek(store_path)
-        unit_counts = peek["unit_counts"]
-        sidecar = CampaignCheckpoint.load_counters(
-            CampaignCheckpoint.stats_path_for(ckpt_path)
+        report = api.run_campaign(
+            spec,
+            workers=args.workers,
+            store=store_path,
+            checkpoint=ckpt_path,
+            resume=not args.no_resume,
+            overlap=args.overlap,
+            max_inflight=args.max_inflight,
         )
-        unit_counters = (
-            sidecar.get("units", {})
-            if sidecar.get("spec_fingerprint") == spec.fingerprint()
-            else {}
-        )
-        unit_rows = []
-        in_flight = queued = 0
-        for ds, pt in campaign_units(spec):
-            key = unit_key(ds, pt)
-            if pt.label is None:
-                # Single-point campaigns omit the hw tag from records, so
-                # unlabeled units resolve at dataset granularity (shared
-                # across unlabeled points of the same dataset, if any).
-                records = unit_counts.get(ds, 0)
-            else:
-                records = unit_counts.get(key, 0)
-            if matches and key in done:
-                state = "done"
-            elif records:
-                state = "in-flight"
-                in_flight += 1
-            else:
-                state = "queued"
-                queued += 1
-            # Only units the checkpoint vouches for get cache columns: a
-            # queued/in-flight unit has no journaled delta of its own.
-            snap = unit_counters.get(key) if (matches and key in done) else None
-            phase_rate = (
-                hit_rate(snap.get("phase_hits", 0), snap.get("phase_misses", 0))
-                if snap
-                else None
-            )
-            ts_rate = (
-                hit_rate(
-                    snap.get("tilestats_hits", 0),
-                    snap.get("tilestats_misses", 0),
-                )
-                if snap
-                else None
-            )
-            # Memory accounting joined the sidecar later: older
-            # checkpoints (and queued units) degrade to None -> "-".
-            ts_evict = snap.get("tilestats_evictions") if snap else None
-            ts_peak = snap.get("tilestats_peak_nbytes") if snap else None
-            unit_rows.append(
-                {
-                    "unit": key,
-                    "state": state,
-                    "records": records,
-                    "cache": snap,
-                    "phase_hit_rate": phase_rate,
-                    "tilestats_hit_rate": ts_rate,
-                    "tilestats_evictions": ts_evict,
-                    "tilestats_peak_nbytes": ts_peak,
-                }
-            )
-        # Distributed supervision accounting, when a coordinator has run
-        # (or is running) against this store: advisory sidecar, read-only.
-        from .distributed.coordinator import load_coordinator_state
-
-        coord = load_coordinator_state(store_path)
-        if coord.get("spec_fingerprint") != spec.fingerprint():
-            coord = {}
-        payload = {
-            "name": spec.name,
-            "spec_fingerprint": spec.fingerprint(),
-            "units_total": units_total,
-            "units_done": len(done) if matches else 0,
-            "units_in_flight": in_flight,
-            "units_queued": queued,
-            "units": unit_rows,
-            "checkpoint": ckpt_path,
-            "checkpoint_matches_spec": matches if header else None,
-            "store": store_path,
-            "store_records": peek["records"],
-            "store_indexed": peek["indexed"],
-            "coordinator": coord or None,
-        }
-        if args.json:
-            print(json.dumps(payload, indent=2))
-        else:
-            state = (
-                "no checkpoint yet" if not header
-                else "checkpoint from a DIFFERENT spec" if not matches
-                else f"{payload['units_done']}/{units_total} units complete"
-            )
-            print(f"campaign {spec.name!r}: {state} "
-                  f"({in_flight} in flight, {queued} queued)")
-
-            def pct(rate):
-                return "-" if rate is None else f"{100 * rate:.0f}%"
-
-            def count(value):
-                return "-" if value is None else str(value)
-
-            def mib(value):
-                return "-" if value is None else f"{value / (1 << 20):.1f}M"
-
-            print(
-                format_table(
-                    [
-                        "unit", "state", "records", "phase-hit",
-                        "tilestats-hit", "evictions", "stats-peak",
-                    ],
-                    [
-                        [
-                            u["unit"],
-                            u["state"],
-                            u["records"],
-                            pct(u["phase_hit_rate"]),
-                            pct(u["tilestats_hit_rate"]),
-                            count(u["tilestats_evictions"]),
-                            mib(u["tilestats_peak_nbytes"]),
-                        ]
-                        for u in unit_rows
-                    ],
-                )
-            )
-            indexed = " (indexed)" if peek["indexed"] else ""
-            print(f"  store: {peek['records']} records in {store_path}{indexed}")
-            print(f"  checkpoint: {ckpt_path}")
-            if coord:
-                by_shard = coord.get("retries_by_shard") or {}
-                detail = (
-                    " (" + ", ".join(
-                        f"shard {s}: {n}" for s, n in sorted(by_shard.items())
-                    ) + ")"
-                    if by_shard
-                    else ""
-                )
-                print(
-                    f"  coordinator: {coord.get('state')}, "
-                    f"{coord.get('attempts')} attempt(s), "
-                    f"{coord.get('retries_total')} retry/retries of max "
-                    f"{coord.get('max_total_retries')}{detail}"
-                )
-        return 0
-
-    # report
-    if not header:
-        print(f"no checkpoint at {ckpt_path}; run the campaign first",
-              file=sys.stderr)
-        return 1
-    if not matches:
-        print(
-            f"{ckpt_path}: checkpoint belongs to a different spec "
-            f"({header.get('spec_fingerprint')!r} != {spec.fingerprint()!r})",
-            file=sys.stderr,
-        )
-        return 1
-    units = [
-        UnitResult(ds, pt.key(), done[unit_key(ds, pt)]["rows"], resumed=True)
-        for ds, pt in campaign_units(spec)
-        if unit_key(ds, pt) in done
-    ]
-    # Cache-efficacy counters from the stats sidecar: entries are
-    # per-unit deltas, so summing them reconstructs the campaign totals —
-    # including across kill/resume boundaries, where each session's live
-    # counters restarted at zero.
-    sidecar = CampaignCheckpoint.load_counters(
-        CampaignCheckpoint.stats_path_for(ckpt_path)
-    )
-    cache: dict = {}
-    if sidecar.get("spec_fingerprint") == spec.fingerprint():
-        for snap in sidecar.get("units", {}).values():
-            for k, v in snap.items():
-                cache[k] = cache.get(k, 0) + v
-    report = CampaignReport(
-        name=spec.name,
-        spec_fingerprint=spec.fingerprint(),
-        units=units,
-        cache=cache,
-        checkpoint_path=ckpt_path,
-    )
+    else:
+        report = report_from_checkpoint(spec, ckpt_path)
     print(json.dumps(report.to_dict(), indent=2) if args.json
           else report.render())
     return 0
 
 
+def _campaign_status(
+    spec: CampaignSpec, store_path: Path, ckpt_path: Path, *, as_json: bool
+) -> int:
+    """Render checkpoint/store progress without evaluating.
+
+    Read-only: counts come from the checkpoint plus the store's
+    offset-index sidecar (falling back to one streaming parse when no
+    index exists) — never from opening/healing the store, which a
+    concurrently running campaign may own.  Cache-efficacy entries come
+    from the checkpoint's stats sidecar (written at each unit mark;
+    per-unit deltas, execution accounting — under the overlapped
+    scheduler a delta charges whatever ran between two grid-order marks
+    to the later unit).
+    """
+    from .campaign.report import hit_rate
+    from .distributed.coordinator import load_coordinator_state
+
+    header, done = CampaignCheckpoint.load(ckpt_path)
+    matches = header.get("spec_fingerprint") == spec.fingerprint()
+    units_total = len(spec.unit_keys())
+    peek = ResultStore.peek(store_path)
+    unit_counts = peek["unit_counts"]
+    unit_counters = CampaignCheckpoint.unit_counters_for(
+        ckpt_path, spec.fingerprint()
+    )
+    unit_rows = []
+    in_flight = queued = 0
+    for ds, pt in campaign_units(spec):
+        key = unit_key(ds, pt)
+        if pt.label is None:
+            # Single-point campaigns omit the hw tag from records, so
+            # unlabeled units resolve at dataset granularity (shared
+            # across unlabeled points of the same dataset, if any).
+            records = unit_counts.get(ds, 0)
+        else:
+            records = unit_counts.get(key, 0)
+        if matches and key in done:
+            state = "done"
+        elif records:
+            state = "in-flight"
+            in_flight += 1
+        else:
+            state = "queued"
+            queued += 1
+        # Only units the checkpoint vouches for get cache columns: a
+        # queued/in-flight unit has no journaled delta of its own.  Rates
+        # without lookups, and memory fields older sidecars lack, are None.
+        snap = unit_counters.get(key) if (matches and key in done) else None
+        c = snap or {}
+        unit_rows.append(
+            {
+                "unit": key,
+                "state": state,
+                "records": records,
+                "cache": snap,
+                "phase_hit_rate": hit_rate(
+                    c.get("phase_hits", 0), c.get("phase_misses", 0)
+                ),
+                "tilestats_hit_rate": hit_rate(
+                    c.get("tilestats_hits", 0), c.get("tilestats_misses", 0)
+                ),
+                "tilestats_evictions": c.get("tilestats_evictions"),
+                "tilestats_peak_nbytes": c.get("tilestats_peak_nbytes"),
+            }
+        )
+    # Distributed supervision accounting, when a coordinator has run (or
+    # is running) against this store: advisory sidecar, read-only.
+    coord = load_coordinator_state(store_path)
+    if coord.get("spec_fingerprint") != spec.fingerprint():
+        coord = {}
+    payload = {
+        "name": spec.name,
+        "spec_fingerprint": spec.fingerprint(),
+        "units_total": units_total,
+        "units_done": len(done) if matches else 0,
+        "units_in_flight": in_flight,
+        "units_queued": queued,
+        "units": unit_rows,
+        "checkpoint": str(ckpt_path),
+        "checkpoint_matches_spec": matches if header else None,
+        "store": str(store_path),
+        "store_records": peek["records"],
+        "store_indexed": peek["indexed"],
+        "coordinator": coord or None,
+    }
+    if as_json:
+        print(json.dumps(payload, indent=2))
+        return 0
+    state = (
+        "no checkpoint yet" if not header
+        else "checkpoint from a DIFFERENT spec" if not matches
+        else f"{payload['units_done']}/{units_total} units complete"
+    )
+    print(f"campaign {spec.name!r}: {state} "
+          f"({in_flight} in flight, {queued} queued)")
+
+    def pct(rate):
+        return "-" if rate is None else f"{100 * rate:.0f}%"
+
+    def count(value):
+        return "-" if value is None else str(value)
+
+    def mib(value):
+        return "-" if value is None else f"{value / (1 << 20):.1f}M"
+
+    print(
+        format_table(
+            [
+                "unit", "state", "records", "phase-hit",
+                "tilestats-hit", "evictions", "stats-peak",
+            ],
+            [
+                [
+                    u["unit"],
+                    u["state"],
+                    u["records"],
+                    pct(u["phase_hit_rate"]),
+                    pct(u["tilestats_hit_rate"]),
+                    count(u["tilestats_evictions"]),
+                    mib(u["tilestats_peak_nbytes"]),
+                ]
+                for u in unit_rows
+            ],
+        )
+    )
+    indexed = " (indexed)" if peek["indexed"] else ""
+    print(f"  store: {peek['records']} records in {store_path}{indexed}")
+    print(f"  checkpoint: {ckpt_path}")
+    if coord:
+        by_shard = coord.get("retries_by_shard") or {}
+        detail = (
+            " (" + ", ".join(
+                f"shard {s}: {n}" for s, n in sorted(by_shard.items())
+            ) + ")"
+            if by_shard
+            else ""
+        )
+        print(
+            f"  coordinator: {coord.get('state')}, "
+            f"{coord.get('attempts')} attempt(s), "
+            f"{coord.get('retries_total')} retry/retries of max "
+            f"{coord.get('max_total_retries')}{detail}"
+        )
+    return 0
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serving import ServeSpec, ServeSpecError, serve
+    from .serving import ServeSpec, serve
 
     _activate_fault_plan(args)
     if args.spec is None and not args.store:
         raise SystemExit("serve needs --spec FILE and/or --store JSONL")
     if args.spec is not None:
-        try:
-            spec = ServeSpec.load(args.spec)
-        except FileNotFoundError:
-            raise SystemExit(f"spec file not found: {args.spec}")
-        except ServeSpecError as exc:
-            raise SystemExit(f"invalid serve spec {args.spec}: {exc}")
+        spec = ServeSpec.load(args.spec)
         if args.store:
             spec.attach = list(spec.attach) + list(args.store)
     else:
         # Ad-hoc service straight over the given stores (read-only): the
         # one-liner for serving a dist-run's merged store.
-        from pathlib import Path
-
         spec = ServeSpec(
             name=f"serve-{Path(args.store[0]).stem}",
             attach=list(args.store),
@@ -1240,8 +1110,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     if args.store_command == "merge":
         from .distributed import merge_stores
 
@@ -1338,8 +1206,6 @@ def _derive_golden_records(
 
 
 def _cmd_golden(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .analysis.export import read_records, record_to_json, write_records
     from .analysis.regression import compare_records
 
@@ -1424,14 +1290,9 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 def _cmd_describe(args: argparse.Namespace) -> int:
     from .core.describe import describe_dataflow
 
-    if args.dataflow in paper_config_names():
-        df, _ = paper_dataflow(args.dataflow, pe_split=args.pe_split)
-    else:
-        df = parse_dataflow(
-            args.dataflow,
-            sp_variant=SPVariant.OPTIMIZED if args.sp_optimized else None,
-            pe_split=args.pe_split,
-        )
+    df, _ = api.resolve_dataflow(
+        args.dataflow, sp_optimized=args.sp_optimized, pe_split=args.pe_split
+    )
     print(describe_dataflow(df))
     return 0
 
@@ -1483,7 +1344,11 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -29,7 +29,7 @@ CLI front-ends: ``repro campaign shard-plan | shard-run | dist-run`` and
 """
 
 from .coordinator import DistributedCoordinator, DistRunResult, ShardAttempt
-from .merge import assemble_report, merge_checkpoints, merge_stores
+from .merge import merge_checkpoints, merge_stores
 from .shardplan import SHARD_POLICIES, ShardPlan, ShardPlanError, plan_shards
 from .worker import ShardPaths, load_progress, run_shard, shard_paths
 
@@ -47,5 +47,4 @@ __all__ = [
     "ShardAttempt",
     "merge_stores",
     "merge_checkpoints",
-    "assemble_report",
 ]

@@ -41,14 +41,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from ..campaign.artifacts import assemble_report, campaign_paths
 from ..campaign.report import CampaignReport
 from ..campaign.spec import CampaignSpec
 from ..errors import DistributedError
 from ..faults.injector import fault_point
 from ..ioutil import atomic_write_text, retry_io
-from .merge import assemble_report, merge_checkpoints, merge_stores
+from .merge import merge_checkpoints, merge_stores
 from .shardplan import ShardPlan, plan_shards
-from .worker import base_store_for, load_progress, plan_path_for, shard_paths
+from .worker import load_progress, plan_path_for, shard_paths
 
 __all__ = [
     "ShardAttempt",
@@ -205,15 +206,9 @@ class DistributedCoordinator:
         self.policy = policy
         self.shard_workers = shard_workers
         self.overlap = overlap
-        self.base_store = Path(out) if out else base_store_for(self.spec)
-        if checkpoint:
-            self.checkpoint_path = Path(checkpoint)
-        elif self.spec.checkpoint:
-            self.checkpoint_path = Path(self.spec.checkpoint)
-        else:
-            self.checkpoint_path = self.base_store.with_name(
-                f"{self.base_store.stem}.checkpoint.jsonl"
-            )
+        self.base_store, self.checkpoint_path = campaign_paths(
+            self.spec, out, checkpoint
+        )
         self.resume = resume
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
@@ -510,15 +505,11 @@ class DistributedCoordinator:
                     value, bool
                 ):
                     stats[key] += int(value)
-        cache: dict[str, int] = {}
-        for snap in counters.values():
-            for key, value in snap.items():
-                cache[key] = cache.get(key, 0) + int(value)
         report = assemble_report(
             self.spec,
             units,
+            counters=counters,
             stats=stats,
-            cache=cache,
             store_path=str(self.base_store),
             store_records=acct.get("dest_records"),
             checkpoint_path=str(self.checkpoint_path),

@@ -16,7 +16,9 @@ The merge is where the distributed guarantees cash out:
   ``json.dumps(..., sort_keys=True)`` path a sequential run uses, so the
   merged journal is **byte-identical** to a sequential single-process
   checkpoint — ``cmp`` passes in CI, and ``repro campaign report`` /
-  a resumed ``repro campaign run`` accept it as their own.
+  a resumed ``repro campaign run`` accept it as their own.  The report
+  itself is rebuilt by :func:`repro.campaign.assemble_report`, the same
+  assembly ``repro campaign report`` uses.
 
 Merging is idempotent: re-merging the same sources (or a store with
 itself) adds zero records.
@@ -28,12 +30,11 @@ from pathlib import Path
 from typing import Sequence
 
 from ..analysis.store import ResultStore
-from ..campaign.report import CampaignReport, UnitResult
 from ..campaign.runner import CampaignCheckpoint, campaign_units
 from ..campaign.spec import CampaignSpec, unit_key
 from ..errors import DistributedError
 
-__all__ = ["merge_stores", "merge_checkpoints", "assemble_report"]
+__all__ = ["merge_stores", "merge_checkpoints"]
 
 
 def merge_stores(
@@ -117,9 +118,6 @@ def merge_checkpoints(
     found: dict[str, dict] = {}
     counters: dict[str, dict] = {}
     for src in sources:
-        src = Path(src)
-        if not src.exists():
-            continue
         header, units = CampaignCheckpoint.load(src)
         if not header:
             continue
@@ -130,12 +128,10 @@ def merge_checkpoints(
             )
         for key, rec in units.items():
             found.setdefault(key, rec)
-        sidecar = CampaignCheckpoint.load_counters(
-            CampaignCheckpoint.stats_path_for(src)
-        )
-        if sidecar.get("spec_fingerprint") == fingerprint:
-            for key, snap in sidecar.get("units", {}).items():
-                counters.setdefault(key, snap)
+        for key, snap in CampaignCheckpoint.unit_counters_for(
+            src, fingerprint
+        ).items():
+            counters.setdefault(key, snap)
     missing = [key for key in spec.unit_keys() if key not in found]
     if require_complete and missing:
         raise DistributedError(
@@ -156,39 +152,3 @@ def merge_checkpoints(
         merged.close()
     return found, counters
 
-
-def assemble_report(
-    spec: CampaignSpec,
-    units_by_key: dict[str, dict],
-    *,
-    stats: dict | None = None,
-    cache: dict | None = None,
-    store_path: str | None = None,
-    store_records: int | None = None,
-    checkpoint_path: str | None = None,
-) -> CampaignReport:
-    """A :class:`~repro.campaign.report.CampaignReport` from merged units.
-
-    Units come out in grid order with the journal's row dicts, so the
-    report's :meth:`~repro.campaign.report.CampaignReport.canonical_json`
-    digest is byte-identical to the sequential run's — the acceptance
-    check CI enforces.  Units are flagged ``resumed`` (their rows came
-    from journals, not this process's evaluator).
-    """
-    units = []
-    for ds_name, pt in campaign_units(spec):
-        rec = units_by_key.get(unit_key(ds_name, pt))
-        if rec is not None:
-            units.append(
-                UnitResult(ds_name, pt.key(), rec["rows"], resumed=True)
-            )
-    return CampaignReport(
-        name=spec.name,
-        spec_fingerprint=spec.fingerprint(),
-        units=units,
-        stats=stats or {},
-        cache=cache or {},
-        store_path=store_path,
-        store_records=store_records,
-        checkpoint_path=checkpoint_path,
-    )

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..analysis.store import ResultStore
+from ..campaign.artifacts import campaign_paths
 from ..campaign.report import CampaignReport
 from ..campaign.runner import CampaignCheckpoint, run_campaign
 from ..campaign.session import ExplorationSession
@@ -101,11 +102,6 @@ def plan_path_for(base_store: str | Path) -> Path:
     """Where the shard plan sits next to the merged store."""
     base = Path(base_store)
     return base.with_name(f"{base.stem}.plan.json")
-
-
-def base_store_for(spec: CampaignSpec) -> Path:
-    """The merged-store path a spec implies (mirrors the CLI default)."""
-    return Path(spec.store) if spec.store else Path("runs") / f"{spec.name}.jsonl"
 
 
 def load_progress(path: str | Path) -> dict:
@@ -237,7 +233,7 @@ def run_shard(
             f"{plan.num_shards}-shard plan"
         )
     assigned = list(plan.assignments[shard_index])
-    paths = shard_paths(base_store or base_store_for(spec), shard_index)
+    paths = shard_paths(campaign_paths(spec, base_store)[0], shard_index)
     progress = _ProgressWriter(
         paths.progress,
         spec_fingerprint=spec.fingerprint(),

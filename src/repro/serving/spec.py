@@ -174,7 +174,17 @@ class ServeSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "ServeSpec":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """Load a serve spec file; every failure is a :class:`ServeSpecError`
+        whose message names the file."""
+        p = Path(path)
+        try:
+            return cls.from_json(p.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ServeSpecError(
+                f"cannot read serve spec {p}: {exc.strerror or exc}"
+            ) from exc
+        except ServeSpecError as exc:
+            raise ServeSpecError(f"invalid serve spec {p}: {exc}") from exc
 
     def save(self, path: str | Path) -> Path:
         p = Path(path)

@@ -205,3 +205,96 @@ class TestStudy:
         out = run_cli(capsys, "study", "order", "--json")
         data = json.loads(out)
         assert all("x" in row for row in data)
+
+
+def mutag_spec(tmp_path, name: str):
+    from repro.campaign import CampaignSpec, CandidateSource
+
+    spec = CampaignSpec(
+        name=name, datasets=["mutag"], source=CandidateSource("table5")
+    )
+    return spec.save(tmp_path / f"{name}.json")
+
+
+class TestErrorExit:
+    """User errors end in one line on stderr and exit 1, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--dataset", "mutag", "--dataflow", "XX_YY(bogus)"],
+             "malformed dataflow notation"),
+            (["run", "--dataset", "mutag", "--dataflow",
+              "PP_CA(VsFsNt, VtGsFt)"],
+             "not pipeline-compatible"),
+            (["search", "--dataset", "mutag", "--strategy", "random",
+              "--budget", "0"],
+             "budget must be an integer >= 1"),
+            (["campaign", "run", "--spec", "{tmp}/absent.json"],
+             "cannot read campaign spec"),
+        ],
+        ids=["bad-notation", "illegal-dataflow", "bad-budget", "missing-spec"],
+    )
+    def test_user_error(self, capsys, tmp_path, argv, message):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_report_against_another_specs_checkpoint(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "a.ckpt.jsonl")
+        run_cli(
+            capsys, "campaign", "run", "--spec", str(mutag_spec(tmp_path, "a")),
+            "--out", str(tmp_path / "a.jsonl"), "--checkpoint", ckpt,
+        )
+        assert main(
+            ["campaign", "report", "--spec", str(mutag_spec(tmp_path, "b")),
+             "--checkpoint", ckpt]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "checkpoint belongs to a different spec" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+class TestCampaignArtifactPaths:
+    """``--out`` alone puts the checkpoint beside the store, for every
+    command that reads or writes it."""
+
+    def test_run_then_status_and_report_with_out_only(self, capsys, tmp_path):
+        spec = str(mutag_spec(tmp_path, "paths"))
+        out = str(tmp_path / "X" / "foo.jsonl")
+        run_cli(capsys, "campaign", "run", "--spec", spec, "--out", out)
+        assert (tmp_path / "X" / "foo.checkpoint.jsonl").exists()
+
+        status = json.loads(
+            run_cli(capsys, "campaign", "status", "--spec", spec,
+                    "--out", out, "--json")
+        )
+        assert status["units_done"] == status["units_total"] == 1
+        assert status["checkpoint"] == str(
+            tmp_path / "X" / "foo.checkpoint.jsonl"
+        )
+
+        report = json.loads(
+            run_cli(capsys, "campaign", "report", "--spec", spec,
+                    "--out", out, "--json")
+        )
+        assert [u["dataset"] for u in report["units"]] == ["mutag"]
+
+    def test_coordinator_reads_the_checkpoint_status_reads(
+        self, capsys, tmp_path
+    ):
+        from repro.distributed import DistributedCoordinator
+
+        spec = str(mutag_spec(tmp_path, "paths"))
+        out = str(tmp_path / "X" / "foo.jsonl")
+        status = json.loads(
+            run_cli(capsys, "campaign", "status", "--spec", spec,
+                    "--out", out, "--json")
+        )
+        coordinator = DistributedCoordinator(spec, out=out)
+        assert str(coordinator.checkpoint_path) == status["checkpoint"]
+        assert str(coordinator.base_store) == status["store"]

@@ -32,7 +32,7 @@ from repro.distributed import (
     run_shard,
     shard_paths,
 )
-from repro.distributed.merge import assemble_report
+from repro.campaign import assemble_report
 from repro.distributed.worker import ShardFailureInjected
 from repro.errors import (
     CampaignError,
